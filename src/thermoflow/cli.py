@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 input validation, 3 solvability/physics constraint,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import logging
@@ -32,6 +33,9 @@ from thermoflow.compiler import CompiledProgram, EncodeSettings, GroupSpec
 from thermoflow.physics import ConfigError, DeviceConfig, Mode, Reservoir
 
 SCHEMA_VERSION = 1
+
+# Names of the two parts of a compiled signed program, keyed by their sign.
+_PART_NAMES = {1.0: "plus", -1.0: "minus"}
 
 log = logging.getLogger("thermoflow")
 
@@ -144,28 +148,35 @@ def config_hash(config: DeviceConfig) -> str:
 
 # --- problem files ------------------------------------------------------------
 
-_SETTING_KEYS = {
-    "base_frequency",
-    "drain_ratio",
-    "total_rate",
-    "group_tol",
-    "occupancy_floor",
-}
+_SETTING_KEYS = {f.name for f in dataclasses.fields(EncodeSettings)}
 
 
-def _settings_from(doc: dict) -> EncodeSettings:
+def _settings_from(doc: dict) -> dict:
+    """The problem's "settings" as validated keyword overrides of EncodeSettings."""
     overrides = doc.get("settings", {})
-    unknown = set(overrides) - _SETTING_KEYS - {"rel_tol"}
+    if not isinstance(overrides, dict):
+        raise InputError("settings must be a mapping")
+    unknown = set(overrides) - _SETTING_KEYS
     if unknown:
         raise InputError(f"unknown settings: {sorted(unknown)}")
-    kwargs = {k: float(v) for k, v in overrides.items() if k in _SETTING_KEYS}
-    return EncodeSettings(**kwargs)
+    try:
+        return {k: float(v) for k, v in overrides.items()}
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"settings values must be numbers: {exc}") from exc
 
 
 def _require(doc: dict, field: str):
     if field not in doc:
         raise InputError(f"problem file missing field: {field!r}")
     return doc[field]
+
+
+def _array(doc: dict, field: str) -> np.ndarray:
+    value = _require(doc, field)
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"field {field!r} is not a numeric array: {exc}") from exc
 
 
 def load_document(path: str) -> dict:
@@ -184,58 +195,27 @@ def load_document(path: str) -> dict:
 def compile_problem(doc: dict):
     """Problem document -> compiled document (dict)."""
     kind = _require(doc, "kind")
-    s = _settings_from(doc)
+    settings = _settings_from(doc)
     if kind == "scalar":
-        a = np.array(_require(doc, "a"), dtype=float)
-        b = np.array(_require(doc, "b"), dtype=float)
-        program = compiler.encode_scalar_product(
-            a,
-            b,
-            base_frequency=s.base_frequency,
-            drain_ratio=s.drain_ratio,
-            total_rate=s.total_rate,
-            occupancy_floor=s.occupancy_floor,
-        )
-        return program_to_dict(program)
+        a, b = _array(doc, "a"), _array(doc, "b")
+        return program_to_dict(compiler.encode_scalar_product(a, b, **settings))
     if kind == "matvec":
-        p = np.array(_require(doc, "matrix"), dtype=float)
-        b = np.array(_require(doc, "vector"), dtype=float)
-        program = compiler.encode_matvec(
-            p,
-            b,
-            base_frequency=s.base_frequency,
-            group_tol=s.group_tol,
-            drain_ratio=s.drain_ratio,
-            total_rate=s.total_rate,
-            occupancy_floor=s.occupancy_floor,
-        )
-        return program_to_dict(program)
+        p, b = _array(doc, "matrix"), _array(doc, "vector")
+        return program_to_dict(compiler.encode_matvec(p, b, **settings))
     if kind == "signed_matvec":
-        a = np.array(_require(doc, "matrix"), dtype=float)
-        b = np.array(_require(doc, "vector"), dtype=float)
-        plus, minus = compiler.signed_split(a)
-        parts = {}
-        for name, part in (("plus", plus), ("minus", minus)):
-            live = ~np.all(part == 0.0, axis=1)
-            if live.any():
-                program = compiler.encode_matvec(
-                    part[live],
-                    b,
-                    base_frequency=s.base_frequency,
-                    group_tol=s.group_tol,
-                    drain_ratio=s.drain_ratio,
-                    total_rate=s.total_rate,
-                    occupancy_floor=s.occupancy_floor,
-                )
-                parts[name] = {
-                    "program": program_to_dict(program),
-                    "rows": np.flatnonzero(live).tolist(),
-                }
+        a, b = _array(doc, "matrix"), _array(doc, "vector")
+        parts = compiler.encode_signed_matvec(a, b, **settings)
         return {
             "schema_version": SCHEMA_VERSION,
             "type": "compiled_signed",
             "target_shape": list(a.shape),
-            "parts": parts,
+            "parts": {
+                _PART_NAMES[sign]: {
+                    "program": program_to_dict(program),
+                    "rows": rows.tolist(),
+                }
+                for sign, rows, program in parts
+            },
         }
     if kind == "raw_config":
         config = config_from_dict(doc)
@@ -255,118 +235,86 @@ def _ensure_compiled(doc: dict) -> dict:
     return doc if _is_compiled(doc) else compile_problem(doc)
 
 
-def _flow_tables(config, flows):
+def _flow_tables(flows):
     return {
         "per_channel": flows.per_channel.tolist(),
         "per_reservoir": flows.per_reservoir.tolist(),
     }
 
 
+def _settling_time(config: DeviceConfig) -> float:
+    """Settling time from empty modes, as every run report gives it."""
+    return dynamics.settling_time(config, np.zeros(config.n_modes), 1e-6)
+
+
 def run_compiled(doc: dict, with_oracle: bool, problem_doc: dict | None) -> dict:
     """Execute a compiled document and assemble the run report body."""
     report: dict = {"schema_version": SCHEMA_VERSION, "type": "run_report"}
 
-    if doc["type"] == "raw_config":
-        config = config_from_dict(doc["config"])
+    if doc["type"] in ("raw_config", "compiled_program"):
+        raw = doc["type"] == "raw_config"
+        program = None if raw else program_from_dict(doc)
+        config = config_from_dict(doc["config"]) if raw else program.config
         flows = physics.stationary_flows(config)
         report.update(
-            kind="raw_config",
-            flows=_flow_tables(config, flows),
+            kind="raw_config" if raw else program.kind,
+            flows=_flow_tables(flows),
             entropy_rate=flows.entropy_rate,
-            settling_time=dynamics.settling_time(
-                config, np.zeros(config.n_modes), 1e-6
-            ),
+            settling_time=_settling_time(config),
             config=config_to_dict(config),
             config_hash=config_hash(config),
         )
-        return report
-
-    if doc["type"] == "compiled_program":
-        program = program_from_dict(doc)
-        flows = physics.stationary_flows(program.config)
+        if raw:
+            return report
         if program.kind == "scalar":
             result = compiler.decode_scalar_product(program, flows)
         else:
             result = compiler.decode_matvec(program, flows)
-        report.update(
-            kind=program.kind,
-            decoded=result.values.tolist(),
-            error_bounds=result.error_bound.tolist(),
-            flows=_flow_tables(program.config, flows),
-            entropy_rate=flows.entropy_rate,
-            settling_time=dynamics.settling_time(
-                program.config, np.zeros(program.config.n_modes), 1e-6
-            ),
-            config=config_to_dict(program.config),
-            config_hash=config_hash(program.config),
-        )
-        if with_oracle:
-            _attach_oracle(report, problem_doc)
-        return report
 
-    if doc["type"] == "compiled_signed":
-        m = doc["target_shape"][0]
-        values = np.zeros(m)
-        bounds = np.zeros(m)
-        flow_tables = {}
-        entropy = 0.0
-        settle = 0.0
-        hashes = {}
-        for name, sign in (("plus", 1.0), ("minus", -1.0)):
+    elif doc["type"] == "compiled_signed":
+        decoded, tables, hashes = [], {}, {}
+        entropy = settle = 0.0
+        for sign, name in _PART_NAMES.items():
             part = doc["parts"].get(name)
             if part is None:
                 continue
             program = program_from_dict(part["program"])
             flows = physics.stationary_flows(program.config)
-            result = compiler.decode_matvec(program, flows)
-            rows = part["rows"]
-            values[rows] += sign * result.values
-            bounds[rows] += result.error_bound
-            flow_tables[name] = _flow_tables(program.config, flows)
-            entropy += flows.entropy_rate
-            settle = max(
-                settle,
-                dynamics.settling_time(
-                    program.config, np.zeros(program.config.n_modes), 1e-6
-                ),
+            decoded.append(
+                (sign, part["rows"], compiler.decode_matvec(program, flows))
             )
+            tables[name] = _flow_tables(flows)
+            entropy += flows.entropy_rate
+            settle = max(settle, _settling_time(program.config))
             hashes[name] = config_hash(program.config)
+        result = compiler.combine_signed(doc["target_shape"][0], decoded)
         report.update(
             kind="signed_matvec",
-            decoded=values.tolist(),
-            error_bounds=bounds.tolist(),
-            flows=flow_tables,
+            flows=tables,
             entropy_rate=entropy,
             settling_time=settle,
             config_hash="+".join(f"{k}:{v}" for k, v in sorted(hashes.items())),
         )
-        if with_oracle:
-            _attach_oracle(report, problem_doc)
-        return report
 
-    raise InputError(f"not a runnable document: {doc.get('type')!r}")
+    else:
+        raise InputError(f"not a runnable document: {doc.get('type')!r}")
+
+    report.update(
+        decoded=result.values.tolist(), error_bounds=result.error_bound.tolist()
+    )
+    if with_oracle:
+        _attach_oracle(report, problem_doc)
+    return report
 
 
 def _attach_oracle(report: dict, problem_doc: dict | None):
     """Direct linear-algebra result computed internally for comparison."""
-    if problem_doc is None or "kind" not in problem_doc:
-        report["oracle"] = None
-        return
-    kind = problem_doc["kind"]
+    kind = (problem_doc or {}).get("kind")
     if kind == "scalar":
-        oracle = [
-            float(
-                np.dot(
-                    np.array(problem_doc["a"], dtype=float),
-                    np.array(problem_doc["b"], dtype=float),
-                )
-            )
-        ]
+        oracle = [float(np.dot(_array(problem_doc, "a"), _array(problem_doc, "b")))]
     elif kind in ("matvec", "signed_matvec"):
-        oracle = (
-            np.array(problem_doc["matrix"], dtype=float)
-            @ np.array(problem_doc["vector"], dtype=float)
-        ).tolist()
+        matrix, vector = _array(problem_doc, "matrix"), _array(problem_doc, "vector")
+        oracle = (matrix @ vector).tolist()
     else:
         report["oracle"] = None
         return
@@ -521,7 +469,7 @@ def cmd_validate(args) -> int:
     worst_form = 0.0
     worst_analogy = 0.0
     for _ in range(args.cases):
-        config = _random_config(rng)
+        config = random_config(rng, 4, 6)
         flows = physics.stationary_flows(config)
         pairwise = physics.stationary_flows_pairwise(config)
         scale = np.abs(flows.per_reservoir).sum() or 1.0
@@ -552,18 +500,23 @@ def cmd_validate(args) -> int:
     return 0 if ok else EXIT_NUMERICAL
 
 
-def _random_config(rng, max_modes: int = 4, max_res: int = 6) -> DeviceConfig:
+def random_config(
+    rng, max_modes: int, max_reservoirs: int, allow_zero_couplings: bool = False
+) -> DeviceConfig:
+    """Random valid device: frequencies in [0.5, 3], temperatures in [0.1, 5]
+    plus the cold drain, couplings in (0.05, 2]; with allow_zero_couplings about
+    a fifth of the non-drain couplings are exactly 0."""
     k = int(rng.integers(1, max_modes + 1))
-    n = int(rng.integers(1, max_res + 1))
+    n = int(rng.integers(1, max_reservoirs + 1))
     modes = tuple(Mode(frequency=float(rng.uniform(0.5, 3.0))) for _ in range(k))
     reservoirs = [Reservoir(temperature=physics.T_FLOOR, is_drain=True)]
-    reservoirs += [
-        Reservoir(temperature=float(rng.uniform(0.1, 5.0))) for _ in range(n)
-    ]
+    reservoirs += [Reservoir(float(rng.uniform(0.1, 5.0))) for _ in range(n)]
     couplings = rng.uniform(0.05, 2.0, size=(k, n + 1))
-    return DeviceConfig(
-        modes=modes, reservoirs=tuple(reservoirs), couplings=couplings
-    )
+    if allow_zero_couplings:
+        mask = rng.random(couplings.shape) < 0.2
+        mask[:, 0] = False  # the drain column keeps every row positive
+        couplings = np.where(mask, 0.0, couplings)
+    return DeviceConfig(modes=modes, reservoirs=tuple(reservoirs), couplings=couplings)
 
 
 # --- entry point --------------------------------------------------------------

@@ -253,76 +253,39 @@ def _check_group_separation(groups):
             )
 
 
-def encode_scalar_product(
-    a,
-    b,
-    base_frequency: float = 1.0,
-    drain_ratio: float = 1e-4,
-    total_rate: float = 1.0,
-    occupancy_floor: float = 1e-12,
-) -> CompiledProgram:
+def encode_scalar_product(a, b, **settings) -> CompiledProgram:
     """Compile the scalar product (a, b) of non-negative vectors onto one mode.
 
     a is auto-normalized with the scale recorded; b maps to reservoir
     occupancies via temperatures (zero entries are floored, see EncodeSettings).
+    settings: EncodeSettings fields.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 1:
         raise ConfigError("a must be a 1-D vector")
-    settings = EncodeSettings(
-        base_frequency=base_frequency,
-        drain_ratio=drain_ratio,
-        total_rate=total_rate,
-        occupancy_floor=occupancy_floor,
-    )
-    return _compile_groups([(a[None, :], base_frequency)], b, settings, "scalar")
+    s = EncodeSettings(**settings)
+    return _compile_groups([(a[None, :], s.base_frequency)], b, s, "scalar")
 
 
-def encode_matvec(
-    p,
-    b,
-    base_frequency: float = 1.0,
-    group_tol: float = 1e-3,
-    drain_ratio: float = 1e-4,
-    total_rate: float = 1.0,
-    occupancy_floor: float = 1e-12,
-) -> CompiledProgram:
+def encode_matvec(p, b, **settings) -> CompiledProgram:
     """Compile P @ b for a non-negative row matrix P: one mode per row, frequencies
     spread as widely as the group-closeness tolerance allows."""
+    s = EncodeSettings(**settings)
     p = np.asarray(p, dtype=float)
-    settings = EncodeSettings(
-        base_frequency=base_frequency,
-        drain_ratio=drain_ratio,
-        total_rate=total_rate,
-        group_tol=group_tol,
-        occupancy_floor=occupancy_floor,
-    )
-    return _compile_groups([(p, base_frequency)], b, settings, "matvec")
+    return _compile_groups([(p, s.base_frequency)], b, s, "matvec")
 
 
-def encode_parallel_matvec(
-    tasks,
-    b,
-    group_tol: float = 1e-3,
-    drain_ratio: float = 1e-4,
-    total_rate: float = 1.0,
-    occupancy_floor: float = 1e-12,
-) -> CompiledProgram:
+def encode_parallel_matvec(tasks, b, **settings) -> CompiledProgram:
     """Compile several matrices at well-separated base frequencies sharing one
     reservoir set. Group 1 computes against b; group g computes against the
     occupancy vector re-evaluated at its own base frequency (functionally
-    dependent on b). tasks: sequence of (matrix, base_frequency)."""
+    dependent on b). tasks: sequence of (matrix, base_frequency); settings:
+    EncodeSettings fields other than base_frequency."""
     if not tasks:
         raise ConfigError("need at least one (matrix, base_frequency) task")
     tasks = [(np.asarray(p, dtype=float), float(w)) for p, w in tasks]
-    settings = EncodeSettings(
-        base_frequency=tasks[0][1],
-        drain_ratio=drain_ratio,
-        total_rate=total_rate,
-        group_tol=group_tol,
-        occupancy_floor=occupancy_floor,
-    )
-    return _compile_groups(tasks, b, settings, "matvec")
+    s = EncodeSettings(base_frequency=tasks[0][1], **settings)
+    return _compile_groups(tasks, b, s, "matvec")
 
 
 def estimate_encoding_error(program: CompiledProgram) -> np.ndarray:
@@ -418,29 +381,47 @@ def run_matvec(p, b, **settings) -> DecodedResult:
     return decode_matvec(program, physics.stationary_flows(program.config))
 
 
-def signed_matvec(a, b, **settings) -> DecodedResult:
-    """A @ b for a mixed-sign matrix via the split A = A_plus - A_minus.
+def encode_signed_matvec(a, b, **settings):
+    """Compile a mixed-sign matrix as the split A = A_plus - A_minus.
 
-    Each part runs through the non-negative pipeline; all-zero rows of a part
-    contribute exactly 0 with zero bound. Error bounds of the parts add.
+    Returns [(sign, rows, program)] for the parts with at least one non-zero
+    row; program computes that part's rows `rows` (in ascending order) against
+    b. All-zero rows of a part contribute exactly 0 with zero bound, so they
+    are left out of its program.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ConfigError("matrix must be 2-D")
     if np.any(np.all(a == 0.0, axis=1)):
         raise ConfigError("matrix has an all-zero row")
-    a_plus, a_minus = signed_split(a)
-    m = a.shape[0]
+    parts = []
+    for sign, part in zip((1.0, -1.0), signed_split(a)):
+        rows = np.flatnonzero(~np.all(part == 0.0, axis=1))
+        if rows.size:
+            parts.append((sign, rows, encode_matvec(part[rows], b, **settings)))
+    return parts
 
-    values = np.zeros(m)
-    bounds = np.zeros(m)
-    raw = np.zeros((2, m))
-    for sign, part, slot in ((1.0, a_plus, 0), (-1.0, a_minus, 1)):
-        live = ~np.all(part == 0.0, axis=1)
-        if not live.any():
-            continue
-        result = run_matvec(part[live], b, **settings)
-        values[live] += sign * result.values
-        bounds[live] += result.error_bound
-        raw[slot, live] = result.raw_flows
+
+def combine_signed(m: int, decoded_parts) -> DecodedResult:
+    """Add decoded parts [(sign, rows, DecodedResult)] into the m outputs of A @ b.
+
+    Values add with their sign and error bounds add. raw_flows has shape (2, m):
+    the drain flows of the plus part in row 0 and of the minus part in row 1.
+    """
+    values, bounds, raw = np.zeros(m), np.zeros(m), np.zeros((2, m))
+    for sign, rows, result in decoded_parts:
+        values[rows] += sign * result.values
+        bounds[rows] += result.error_bound
+        raw[0 if sign > 0 else 1, rows] = result.raw_flows
     return DecodedResult(values=values, raw_flows=raw, error_bound=bounds)
+
+
+def signed_matvec(a, b, **settings) -> DecodedResult:
+    """A @ b for a mixed-sign matrix via the split A = A_plus - A_minus: each part
+    runs through the non-negative pipeline and the error bounds of the parts add."""
+    parts = encode_signed_matvec(a, b, **settings)
+    decoded = [
+        (sign, rows, decode_matvec(program, physics.stationary_flows(program.config)))
+        for sign, rows, program in parts
+    ]
+    return combine_signed(np.asarray(a).shape[0], decoded)

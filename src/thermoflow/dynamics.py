@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from thermoflow.physics import ConfigError, DeviceConfig, occupancy_table
+from thermoflow.physics import ConfigError, DeviceConfig, stationary_state
 
 SPEED_OF_LIGHT = 299792458.0  # m/s; qfactor_estimate is the only SI boundary
 
@@ -32,14 +32,6 @@ class TransientTrace:
     occupancies: np.ndarray  # (samples, K)
     flows: np.ndarray  # (samples, n+1)
     settled_at: float | None
-
-
-def _fixed_points(config: DeviceConfig):
-    occ = occupancy_table(config)
-    g = config.couplings
-    rates = g.sum(axis=1)
-    n_tilde = (g * occ).sum(axis=1) / rates
-    return occ, rates, n_tilde
 
 
 def evolve(
@@ -65,7 +57,7 @@ def evolve(
     if sample_count < 2:
         raise ConfigError("sample_count must be at least 2")
 
-    occ_table, rates, n_tilde = _fixed_points(config)
+    occ_table, rates, n_tilde = stationary_state(config)
     times = np.linspace(0.0, t_end, sample_count)
     decay = np.exp(-np.outer(times, rates))
     occupancies = n_tilde[None, :] + (init - n_tilde)[None, :] * decay
@@ -92,7 +84,7 @@ def settling_time(config: DeviceConfig, initial_occupancies, rel_tol: float) -> 
     init = np.asarray(initial_occupancies, dtype=float)
     if np.any(init < 0.0):
         raise ConfigError("initial occupancies must be non-negative")
-    _, rates, n_tilde = _fixed_points(config)
+    _, rates, n_tilde = stationary_state(config)
     t = 0.0
     for delta, rate, target in zip(init - n_tilde, rates, n_tilde):
         if delta == 0.0:

@@ -182,16 +182,26 @@ def weighted_occupancy(config: DeviceConfig, mode_index: int) -> float:
     return float(p @ occ)
 
 
+def stationary_state(config: DeviceConfig):
+    """Occupancy table, total rate Gamma_kappa and stationary occupancy n_tilde.
+
+    n_tilde[kappa] = sum_j gamma[kappa][j] n_j(w_kappa) / Gamma_kappa is the fixed
+    point of every mode's rate equation and the reference of every channel flow.
+    """
+    occ = occupancy_table(config)
+    g = config.couplings
+    rates = g.sum(axis=1)
+    return occ, rates, (g * occ).sum(axis=1) / rates
+
+
 def stationary_flows(config: DeviceConfig) -> FlowReport:
     """Stationary energy flows J[kappa][j] = w_kappa gamma[kappa][j] (n_j - n_tilde).
 
     Per-reservoir totals sum the channels; sum_j J_j vanishes identically (the
     weighted occupancy is exactly the coupling-weighted mean of the n_j).
     """
-    occ = occupancy_table(config)
+    occ, _, n_tilde = stationary_state(config)
     g = config.couplings
-    totals = g.sum(axis=1)
-    n_tilde = (g * occ).sum(axis=1) / totals
     per_channel = config.frequencies[:, None] * g * (occ - n_tilde[:, None])
     per_reservoir = per_channel.sum(axis=0)
     sigma = entropy_rate_from_totals(config, per_reservoir)

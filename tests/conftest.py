@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from thermoflow.cli import random_config  # noqa: F401  (imported by the test modules)
 from thermoflow.physics import (
     T_FLOOR,
     DeviceConfig,
@@ -24,25 +25,6 @@ def occupancy_config(frequency, occupancies, couplings):
     return DeviceConfig(
         modes=modes, reservoirs=tuple(reservoirs), couplings=couplings
     )
-
-
-def random_config(rng, max_modes=8, max_reservoirs=32, allow_zero_couplings=False):
-    """Random valid device: frequencies in [0.5, 3], temperatures in [0.1, 5]
-    plus the cold drain, couplings in (0.05, 2]."""
-    k = int(rng.integers(1, max_modes + 1))
-    n = int(rng.integers(1, max_reservoirs + 1))
-    modes = tuple(Mode(frequency=float(rng.uniform(0.5, 3.0))) for _ in range(k))
-    reservoirs = [Reservoir(temperature=T_FLOOR, is_drain=True)]
-    reservoirs += [
-        Reservoir(temperature=float(rng.uniform(0.1, 5.0))) for _ in range(n)
-    ]
-    couplings = rng.uniform(0.05, 2.0, size=(k, n + 1))
-    if allow_zero_couplings:
-        mask = rng.random(couplings.shape) < 0.2
-        # keep at least one positive entry per row
-        mask[:, 0] = False
-        couplings = np.where(mask, 0.0, couplings)
-    return DeviceConfig(modes=modes, reservoirs=tuple(reservoirs), couplings=couplings)
 
 
 @pytest.fixture

@@ -17,6 +17,7 @@ from thermoflow.cli import (
 )
 
 GOLDEN = Path(__file__).parent / "data" / "golden_crossbar_2x2.cir"
+GOLDEN_SIGNED = Path(__file__).parent / "data" / "golden_signed_report.json"
 
 
 def write_doc(tmp_path, name, doc):
@@ -103,6 +104,28 @@ class TestCompile:
                 {"kind": "scalar", "a": [1.0], "b": [1.0], "settings": {"gamma": 2}}
             )
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"kind": "matvec", "matrix": [[1.0, 2.0], [3.0]], "vector": [1.0, 2.0]},
+            {"kind": "matvec", "matrix": [[1.0, 2.0]], "vector": ["a", 2]},
+            {
+                "kind": "matvec",
+                "matrix": [[1.0, 2.0]],
+                "vector": [1.0, 2.0],
+                "settings": {"drain_ratio": "x"},
+            },
+            # rel_tol is a transient option, not an encoder setting
+            {"kind": "scalar", "a": [1.0], "b": [1.0], "settings": {"rel_tol": 1e-3}},
+        ],
+        ids=["ragged-matrix", "string-in-vector", "string-setting", "rel_tol-setting"],
+    )
+    def test_bad_input_is_validation_error(self, tmp_path, capsys, doc):
+        path = write_doc(tmp_path, "bad.json", doc)
+        assert main(["compile", path]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_settings_override(self):
         doc = compile_problem(
             {
@@ -157,6 +180,57 @@ class TestRun:
             ) == 0
             texts.append(out.read_bytes())
         assert texts[0] == texts[1]
+
+    def test_golden_signed_report(self, tmp_path):
+        path = write_doc(
+            tmp_path,
+            "signed.json",
+            {
+                "kind": "signed_matvec",
+                "matrix": [[0.5, -0.25, 0.0], [0.75, 0.5, 0.25]],
+                "vector": [1.0, 0.0, 2.5],
+            },
+        )
+        out = tmp_path / "report.json"
+        argv = ["run", path, "--oracle", "--no-timing", "--output", str(out)]
+        assert main(argv) == 0
+        assert out.read_bytes() == GOLDEN_SIGNED.read_bytes()
+
+    def test_signed_compiled_run_matches_problem_run(self, tmp_path):
+        problem = {
+            "kind": "signed_matvec",
+            "matrix": [[0.5, -1.0], [-0.2, 0.0]],
+            "vector": [2.0, 1.5],
+            "settings": {"drain_ratio": 1e-3},
+        }
+        path = write_doc(tmp_path, "signed.json", problem)
+        compiled = write_doc(tmp_path, "compiled.json", compile_problem(problem))
+        texts = []
+        for src in (path, compiled):
+            out = tmp_path / "report.json"
+            assert main(["run", src, "--no-timing", "--output", str(out)]) == 0
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            ([[1.0, -1.0], [0.0, 0.0]], "all-zero row"),
+            ([[0.0, 0.0]], "all-zero row"),
+            ([1.0, -1.0], "2-D"),
+        ],
+        ids=["zero-row", "only-zero-rows", "1-D"],
+    )
+    def test_signed_rejects_like_library(self, tmp_path, capsys, matrix, message):
+        path = write_doc(
+            tmp_path,
+            "signed.json",
+            {"kind": "signed_matvec", "matrix": matrix, "vector": [1.0, 2.0]},
+        )
+        assert main(["run", path]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and message in captured.err
 
     def test_raw_config_run(self, golden_problem, tmp_path):
         out = tmp_path / "report.json"
@@ -235,7 +309,7 @@ class TestRoundTrips:
     def test_config_dict_round_trip(self, rng):
         from conftest import random_config
 
-        config = random_config(rng)
+        config = random_config(rng, 8, 32)
         again = config_from_dict(config_to_dict(config))
         assert again.modes == config.modes
         assert again.reservoirs == config.reservoirs

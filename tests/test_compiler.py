@@ -6,11 +6,13 @@ from hypothesis.extra.numpy import arrays
 
 from thermoflow import physics
 from thermoflow.compiler import (
+    combine_signed,
     decode_matvec,
     decode_scalar_product,
     encode_matvec,
     encode_parallel_matvec,
     encode_scalar_product,
+    encode_signed_matvec,
     estimate_encoding_error,
     parallel_group_products,
     run_matvec,
@@ -236,6 +238,33 @@ class TestSignedMatvec:
     def test_all_zero_row_rejected(self):
         with pytest.raises(ConfigError):
             signed_matvec(np.array([[1.0, -1.0], [0.0, 0.0]]), np.array([1.0, 1.0]))
+
+    def test_encode_keeps_only_parts_with_non_zero_rows(self):
+        a = np.array([[0.5, 0.5], [0.3, -0.7], [0.2, 0.0]])
+        parts = encode_signed_matvec(a, np.array([1.0, 2.0]), drain_ratio=1e-3)
+        assert [(sign, rows.tolist()) for sign, rows, _ in parts] == [
+            (1.0, [0, 1, 2]),
+            (-1.0, [1]),
+        ]
+        assert all(program.drain_ratio == 1e-3 for _, _, program in parts)
+        non_negative = encode_signed_matvec(np.abs(a), np.array([1.0, 2.0]))
+        assert [sign for sign, _, _ in non_negative] == [1.0]
+
+    def test_combine_adds_signed_values_and_bounds(self):
+        a = np.array([[0.5, -0.5], [0.0, -0.7]])
+        b = np.array([1.0, 2.0])
+        decoded = [
+            (sign, rows, decode_matvec(program, stationary_flows(program.config)))
+            for sign, rows, program in encode_signed_matvec(a, b)
+        ]
+        (_, _, plus), (_, _, minus) = decoded
+        result = combine_signed(2, decoded)
+        assert result.values[0] == plus.values[0] - minus.values[0]
+        assert result.values[1] == -minus.values[1]
+        assert result.error_bound[0] == plus.error_bound[0] + minus.error_bound[0]
+        np.testing.assert_array_equal(result.raw_flows[1], minus.raw_flows)
+        assert result.raw_flows[0, 1] == 0.0
+        np.testing.assert_array_equal(result.values, signed_matvec(a, b).values)
 
     @given(
         arrays(

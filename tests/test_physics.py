@@ -172,6 +172,16 @@ class TestWeightedOccupancy:
 
 
 class TestStationaryFlows:
+    def test_stationary_state_is_weighted_occupancy(self, rng):
+        config = random_config(rng, max_modes=4, max_reservoirs=8)
+        occ, rates, n_tilde = physics.stationary_state(config)
+        np.testing.assert_array_equal(occ, physics.occupancy_table(config))
+        np.testing.assert_array_equal(rates, config.couplings.sum(axis=1))
+        for kappa in range(config.n_modes):
+            assert n_tilde[kappa] == pytest.approx(
+                physics.weighted_occupancy(config, kappa), rel=1e-14
+            )
+
     def test_equilibrium_flows_vanish(self):
         t = inverse_temperature(1.0, 1.0)
         config = DeviceConfig(
