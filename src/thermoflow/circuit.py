@@ -103,7 +103,7 @@ def oqs_to_star(config: DeviceConfig, mode_index: int) -> StarCircuit:
 
 def _resolve_bar_potentials(phi, active, policy, group_tol):
     """Phi_j per policy. Columns with no active branch get Phi_j = 0."""
-    k, n1 = phi.shape
+    n1 = phi.shape[1]
     col_max = np.where(active, phi, -np.inf).max(axis=0)
     has_branch = active.any(axis=0)
     col_max = np.where(has_branch, col_max, 0.0)
@@ -122,19 +122,17 @@ def _resolve_bar_potentials(phi, active, policy, group_tol):
         return value
     if policy == "grouped":
         # Valid only when every column's active potentials agree within group_tol:
-        # then Phi_j is that shared value and every series resistor is 0.
-        for j in range(n1):
-            vals = phi[active[:, j], j]
-            if vals.size == 0:
-                continue
-            scale = max(abs(vals).max(), 1e-300)
-            # deviation from the column midpoint, so modes compiled against a
-            # group tolerance pass the same tolerance here
-            if 0.5 * (vals.max() - vals.min()) > group_tol * scale:
-                raise SolvabilityError(
-                    f"grouped policy needs matching occupancies on bar {j}; "
-                    f"spread exceeds tolerance {group_tol}"
-                )
+        # then Phi_j is that shared value and every series resistor is 0. The
+        # deviation is taken from the column midpoint, so modes compiled against
+        # a group tolerance pass the same tolerance here.
+        col_min = np.where(active, phi, np.inf).min(axis=0)
+        scale = np.maximum(np.where(active, np.abs(phi), 0.0).max(axis=0), 1e-300)
+        bad = has_branch & (0.5 * (col_max - col_min) > group_tol * scale)
+        if bad.any():
+            raise SolvabilityError(
+                f"grouped policy needs matching occupancies on bar "
+                f"{int(np.flatnonzero(bad)[0])}; spread exceeds tolerance {group_tol}"
+            )
         return col_max
     raise ConfigError(f"unknown bar potential policy: {policy!r}")
 
@@ -160,25 +158,19 @@ def build_crossbar(
 
     bar = _resolve_bar_potentials(phi, active, policy, group_tol)
 
-    k, n1 = g.shape
-    r = np.zeros((k, n1))
-    status = np.full((k, n1), ABSENT, dtype=object)
+    # Labels are assigned as scalars, so every cell refers to one shared string.
+    r = np.zeros(g.shape)
+    status = np.full(g.shape, ABSENT, dtype=object)
     if policy == "grouped":
         status[active] = PASSTHROUGH
     else:
-        for kappa in range(k):
-            for j in range(n1):
-                if not active[kappa, j]:
-                    continue
-                i = currents[kappa, j]
-                drop = bar[j] - phi[kappa, j]
-                if i != 0.0:
-                    r[kappa, j] = drop / i
-                    status[kappa, j] = NEGATIVE if r[kappa, j] < 0.0 else SERIES
-                elif drop == 0.0:
-                    status[kappa, j] = PASSTHROUGH
-                else:
-                    status[kappa, j] = OPEN
+        drop = bar - phi
+        moving = currents != 0.0  # absent branches carry exactly 0
+        np.divide(drop, currents, out=r, where=moving)
+        status[active & (drop != 0.0)] = OPEN
+        status[active & (drop == 0.0)] = PASSTHROUGH
+        status[moving] = SERIES
+        status[r < 0.0] = NEGATIVE
 
     r[r == 0.0] = 0.0  # normalize -0.0 from zero drops over negative currents
     return CrossbarCircuit(
@@ -204,29 +196,23 @@ def crossbar_currents(crossbar: CrossbarCircuit) -> np.ndarray:
     (junction potentials weighted by the main conductances), which is the limit
     every non-degenerate perturbation of Phi selects.
     """
-    k, n1 = crossbar.conductances.shape
-    out = np.zeros((k, n1))
-    for kappa in range(k):
-        connected = [
-            j
-            for j in range(n1)
-            if crossbar.branch_status[kappa, j] in (SERIES, NEGATIVE, PASSTHROUGH)
-        ]
-        if not connected:
-            continue
-        # Branch resistance in J/w current units: 1/gamma + r, with
-        # 1/gamma = w / (nominal conductance).
-        g_main = crossbar.conductances[kappa, connected] / crossbar.frequencies[kappa]
-        r_tot = 1.0 / g_main + crossbar.series_resistors[kappa, connected]
-        phi = crossbar.bar_potentials[connected]
-        g = 1.0 / r_tot
-        if abs(g.sum()) > 1e-8 * np.abs(g).sum():
-            node = (phi * g).sum() / g.sum()
-        else:
-            inner = crossbar.node_potentials[kappa, connected]
-            node = (inner * g_main).sum() / g_main.sum()
-        out[kappa, connected] = (phi - node) * g
-    return out
+    status = crossbar.branch_status
+    connected = (status == SERIES) | (status == NEGATIVE) | (status == PASSTHROUGH)
+    # Branch resistance in J/w current units: 1/gamma + r, with
+    # 1/gamma = w / (nominal conductance); unconnected branches get g = 0.
+    w = crossbar.frequencies[:, None]
+    g_main = np.where(connected, crossbar.conductances, 0.0) / w
+    with np.errstate(divide="ignore"):
+        r_tot = 1.0 / g_main + crossbar.series_resistors
+    g = np.divide(1.0, r_tot, out=np.zeros_like(r_tot), where=connected)
+    free = np.abs(g.sum(axis=1)) > 1e-8 * np.abs(g).sum(axis=1)
+    weights = np.where(free[:, None], g, g_main)
+    phi = np.where(free[:, None], crossbar.bar_potentials, crossbar.node_potentials)
+    total = weights.sum(axis=1)
+    node = np.divide(
+        (phi * weights).sum(axis=1), total, out=np.zeros_like(total), where=total != 0.0
+    )
+    return np.where(connected, (crossbar.bar_potentials - node[:, None]) * g, 0.0)
 
 
 # --- netlist export -----------------------------------------------------------
@@ -251,32 +237,16 @@ def _star_elements(circuit: StarCircuit):
 
 
 def _crossbar_elements(circuit: CrossbarCircuit):
-    k, n1 = circuit.conductances.shape
-    elements = []
-    for j in range(n1):
-        elements.append(("V", f"V{j}", f"c_{j}", "0", float(circuit.bar_potentials[j])))
-    for kappa in range(k):
-        for j in range(n1):
-            if circuit.branch_status[kappa, j] in (ABSENT, OPEN):
-                continue
-            elements.append(
-                (
-                    "R",
-                    f"Rs_{kappa}_{j}",
-                    f"c_{j}",
-                    f"x_{kappa}_{j}",
-                    float(circuit.series_resistors[kappa, j]),
-                )
-            )
-            elements.append(
-                (
-                    "R",
-                    f"Rg_{kappa}_{j}",
-                    f"x_{kappa}_{j}",
-                    f"b_{kappa}",
-                    float(circuit.frequencies[kappa] / circuit.conductances[kappa, j]),
-                )
-            )
+    bars = circuit.bar_potentials.tolist()
+    elements = [("V", f"V{j}", f"c_{j}", "0", phi) for j, phi in enumerate(bars)]
+    status = circuit.branch_status
+    wired = (status != ABSENT) & (status != OPEN)
+    kappas, js = np.nonzero(wired)
+    r_series = circuit.series_resistors[wired].tolist()
+    r_main = (circuit.frequencies[kappas] / circuit.conductances[wired]).tolist()
+    for kappa, j, r_s, r_g in zip(kappas.tolist(), js.tolist(), r_series, r_main):
+        elements.append(("R", f"Rs_{kappa}_{j}", f"c_{j}", f"x_{kappa}_{j}", r_s))
+        elements.append(("R", f"Rg_{kappa}_{j}", f"x_{kappa}_{j}", f"b_{kappa}", r_g))
     return elements
 
 

@@ -114,7 +114,7 @@ def program_from_dict(doc: dict) -> CompiledProgram:
         groups = tuple(
             GroupSpec(
                 group_id=int(g["group_id"]),
-                mode_indices=tuple(int(i) for i in g["mode_indices"]),
+                mode_indices=_indices(g["mode_indices"], "mode_indices"),
                 base_frequency=float(g["base_frequency"]),
                 spread=float(g["spread"]),
                 max_occupancy_dev=float(g["max_occupancy_dev"]),
@@ -123,7 +123,7 @@ def program_from_dict(doc: dict) -> CompiledProgram:
             )
             for g in doc["groups"]
         )
-        return CompiledProgram(
+        program = CompiledProgram(
             config=config_from_dict(doc["config"]),
             groups=groups,
             drain_ratio=float(doc["drain_ratio"]),
@@ -135,6 +135,21 @@ def program_from_dict(doc: dict) -> CompiledProgram:
         )
     except KeyError as exc:
         raise InputError(f"compiled program missing field: {exc.args[0]}") from exc
+    k, n = program.config.n_modes, program.config.n_reservoirs - 1
+    if sorted(i for g in groups for i in g.mode_indices) != list(range(k)):
+        raise InputError(f"groups must hold each of the {k} modes exactly once")
+    if program.row_scales.shape != (k,) or program.row_dots.shape != (k,):
+        raise InputError(f"row_scales and row_dots need one entry per mode ({k})")
+    if any(g.input_occupancies.shape != (n,) for g in groups):
+        raise InputError(f"input_occupancies need one entry per input reservoir ({n})")
+    return program
+
+
+def _indices(value, field: str) -> tuple:
+    """A document's list of non-negative integers, as a tuple."""
+    if isinstance(value, list) and all(type(i) is int and i >= 0 for i in value):
+        return tuple(value)
+    raise InputError(f"{field} must be a list of non-negative integers")
 
 
 def dump_json(doc: dict) -> str:
@@ -274,20 +289,16 @@ def run_compiled(doc: dict, with_oracle: bool, problem_doc: dict | None) -> dict
     elif doc["type"] == "compiled_signed":
         decoded, tables, hashes = [], {}, {}
         entropy = settle = 0.0
-        for sign, name in _PART_NAMES.items():
-            part = doc["parts"].get(name)
-            if part is None:
-                continue
-            program = program_from_dict(part["program"])
+        m, parts = _signed_parts(doc)
+        for sign, rows, program in parts:
+            name = _PART_NAMES[sign]
             flows = physics.stationary_flows(program.config)
-            decoded.append(
-                (sign, part["rows"], compiler.decode_matvec(program, flows))
-            )
+            decoded.append((sign, rows, compiler.decode_matvec(program, flows)))
             tables[name] = _flow_tables(flows)
             entropy += flows.entropy_rate
             settle = max(settle, _settling_time(program.config))
             hashes[name] = config_hash(program.config)
-        result = compiler.combine_signed(doc["target_shape"][0], decoded)
+        result = compiler.combine_signed(m, decoded)
         report.update(
             kind="signed_matvec",
             flows=tables,
@@ -305,6 +316,30 @@ def run_compiled(doc: dict, with_oracle: bool, problem_doc: dict | None) -> dict
     if with_oracle:
         _attach_oracle(report, problem_doc)
     return report
+
+
+def _signed_parts(doc: dict):
+    """Output count m and the checked [(sign, rows, program)] of a compiled
+    signed document, plus part first."""
+    shape = _indices(doc.get("target_shape"), "target_shape")
+    if len(shape) != 2:
+        raise InputError("compiled_signed target_shape must be [rows, columns]")
+    parts = doc.get("parts")
+    if not isinstance(parts, dict) or not parts or set(parts) - {"plus", "minus"}:
+        raise InputError("compiled_signed parts must map plus and/or minus to a part")
+    checked = []
+    for sign, name in _PART_NAMES.items():
+        if name not in parts:
+            continue
+        part = parts[name]
+        if not isinstance(part, dict) or not {"program", "rows"} <= part.keys():
+            raise InputError(f"compiled_signed part {name!r} needs program and rows")
+        program = program_from_dict(part["program"])
+        rows, k = _indices(part["rows"], f"{name} rows"), program.config.n_modes
+        if len(set(rows)) != k or len(rows) != k or max(rows) >= shape[0]:
+            raise InputError(f"{name} rows need {k} distinct indices below {shape[0]}")
+        checked.append((sign, list(rows), program))
+    return shape[0], checked
 
 
 def _attach_oracle(report: dict, problem_doc: dict | None):
@@ -378,6 +413,8 @@ def _parse_sweep(spec: str):
         lo, hi = int(lo), int(hi)
     except ValueError as exc:
         raise InputError(f"bad sweep range {spec!r}; expected like 2..64") from exc
+    if not 1 <= lo <= hi:
+        raise InputError(f"bad sweep range {spec!r}; need 1 <= start <= end")
     counts = []
     n = lo
     while n <= hi:
@@ -412,12 +449,8 @@ def cmd_transient(args) -> int:
         + [f"occ_mode{k}" for k in range(config.n_modes)]
         + [f"flow_res{j}" for j in range(config.n_reservoirs)]
     )
-    rows = [",".join(header)]
-    for i, t in enumerate(trace.times):
-        cells = [repr(float(t))]
-        cells += [repr(float(x)) for x in trace.occupancies[i]]
-        cells += [repr(float(x)) for x in trace.flows[i]]
-        rows.append(",".join(cells))
+    table = np.column_stack([trace.times, trace.occupancies, trace.flows])
+    rows = [",".join(header)] + [",".join(map(repr, row.tolist())) for row in table]
     _emit("\n".join(rows) + "\n", args.output)
     settle = dynamics.settling_time(config, initial, args.rel_tol)
     print(f"settling time: {settle!r}", file=sys.stderr)

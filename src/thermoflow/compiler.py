@@ -109,14 +109,11 @@ def _check_matrix(p: np.ndarray):
         raise ConfigError("matrix has an all-zero row")
 
 
-def _group_deviation(base_frequency, delta, temperatures, base_occ):
-    """Max relative occupancy deviation over non-drain reservoirs at the two
-    extreme frequencies base*(1 +- delta)."""
-    dev = 0.0
-    for sign in (-1.0, 1.0):
-        occ = bose_occupancy(base_frequency * (1.0 + sign * delta), temperatures[1:])
-        dev = max(dev, float(np.max(np.abs(occ - base_occ) / base_occ)))
-    return dev
+def _group_deviation(freqs, temperatures, base_occ):
+    """Max relative occupancy deviation over non-drain reservoirs at the mode
+    frequencies freqs; a mode whose maximum is NaN is skipped."""
+    occ = bose_occupancy(freqs[:, None], temperatures[None, 1:])
+    return max(0.0, *(np.abs(occ - base_occ) / base_occ).max(axis=1).tolist())
 
 
 def _solve_spread(base_frequency, temperatures, group_tol):
@@ -127,14 +124,19 @@ def _solve_spread(base_frequency, temperatures, group_tol):
     when even a vanishing spread violates the tolerance.
     """
     base_occ = bose_occupancy(base_frequency, temperatures[1:])
+
+    def within(delta):
+        freqs = base_frequency * (1.0 + np.array([-delta, delta]))
+        return _group_deviation(freqs, temperatures, base_occ) <= group_tol
+
     lo, hi = 0.0, 0.9
-    if _group_deviation(base_frequency, 1e-13, temperatures, base_occ) > group_tol:
+    if not within(1e-13):
         return 0.0, True
-    if _group_deviation(base_frequency, hi, temperatures, base_occ) <= group_tol:
+    if within(hi):
         return hi, False
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if _group_deviation(base_frequency, mid, temperatures, base_occ) <= group_tol:
+        if within(mid):
             lo = mid
         else:
             hi = mid
@@ -159,7 +161,7 @@ def _compile_groups(tasks, b, settings: EncodeSettings, kind: str) -> CompiledPr
     temps[1:] = inverse_temperature(w_base, b_floored)
 
     modes = []
-    rows = []
+    blocks = []
     groups = []
     row_scales = []
     row_dots = []
@@ -184,20 +186,17 @@ def _compile_groups(tasks, b, settings: EncodeSettings, kind: str) -> CompiledPr
             deltas = np.linspace(-spread, spread, m)
 
         input_occ = bose_occupancy(w_g, temps[1:])
-        base_occ = input_occ.copy()
-        max_dev = 0.0
+        freqs = w_g * (1.0 + deltas)
+        max_dev = _group_deviation(freqs, temps, input_occ)
+        block = np.empty((m, n + 1))
+        block[:, 1:] = settings.total_rate * p_hat
+        block[:, 0] = settings.drain_ratio * block[:, 1:].sum(axis=1)
         start = len(modes)
-        for i in range(m):
-            w_kappa = w_g * (1.0 + deltas[i])
-            modes.append(Mode(frequency=w_kappa, group_id=gid))
-            occ_i = bose_occupancy(w_kappa, temps[1:])
-            max_dev = max(max_dev, float(np.max(np.abs(occ_i - base_occ) / base_occ)))
-            row = np.empty(n + 1)
-            row[1:] = settings.total_rate * p_hat[i]
-            row[0] = settings.drain_ratio * row[1:].sum()
-            rows.append(row)
-            row_scales.append(scales[i])
-            row_dots.append(float(p_hat[i] @ input_occ))
+        modes += [Mode(frequency=w, group_id=gid) for w in freqs.tolist()]
+        blocks.append(block)
+        row_scales.append(scales)
+        # One dot per row: the gemv p_hat @ input_occ rounds differently.
+        row_dots += [float(row @ input_occ) for row in p_hat]
         groups.append(
             GroupSpec(
                 group_id=gid,
@@ -215,13 +214,13 @@ def _compile_groups(tasks, b, settings: EncodeSettings, kind: str) -> CompiledPr
     reservoirs = [Reservoir(temperature=T_FLOOR, is_drain=True)]
     reservoirs += [Reservoir(temperature=t) for t in temps[1:]]
     config = DeviceConfig(
-        modes=tuple(modes), reservoirs=tuple(reservoirs), couplings=np.array(rows)
+        modes=tuple(modes), reservoirs=tuple(reservoirs), couplings=np.vstack(blocks)
     )
     return CompiledProgram(
         config=config,
         groups=tuple(groups),
         drain_ratio=settings.drain_ratio,
-        row_scales=np.array(row_scales),
+        row_scales=np.concatenate(row_scales),
         occupancy_floor=settings.occupancy_floor,
         target_shape=tuple(np.asarray(tasks[0][0]).shape),
         row_dots=np.array(row_dots),
@@ -305,32 +304,28 @@ def estimate_encoding_error(program: CompiledProgram) -> np.ndarray:
     bounds = np.empty(program.row_dots.size)
     for group in program.groups:
         n0 = bose_occupancy(group.base_frequency, T_FLOOR)
-        for kappa in group.mode_indices:
-            d = program.row_dots[kappa]
-            raw = (
-                eps / (1.0 + eps) * d
-                + group.max_occupancy_dev * d
-                + program.occupancy_floor
-                + n0
-                + _FP_CUSHION * (d + 1.0)
-            )
-            bounds[kappa] = program.row_scales[kappa] * raw
+        idx = list(group.mode_indices)
+        d = program.row_dots[idx]
+        raw = (
+            eps / (1.0 + eps) * d
+            + group.max_occupancy_dev * d
+            + program.occupancy_floor
+            + n0
+            + _FP_CUSHION * (d + 1.0)
+        )
+        bounds[idx] = program.row_scales[idx] * raw
     return bounds
 
 
 def _decode_modes(program: CompiledProgram, flows: FlowReport, mode_indices):
-    config = program.config
-    values = []
-    raw = []
-    for kappa in mode_indices:
-        g0 = config.couplings[kappa, 0]
-        if g0 <= 0.0:
-            raise ConfigError(f"mode {kappa} has zero drain coupling; decode undefined")
-        j0 = flows.per_channel[kappa, 0]
-        w = config.modes[kappa].frequency
-        values.append(program.row_scales[kappa] * (-j0 / (w * g0)))
-        raw.append(j0)
-    return np.array(values), np.array(raw)
+    idx = np.array(mode_indices, dtype=int)
+    g0 = program.config.couplings[idx, 0]
+    zero = idx[g0 <= 0.0]
+    if zero.size:
+        raise ConfigError(f"mode {zero[0]} has zero drain coupling; decode undefined")
+    j0 = flows.per_channel[idx, 0]
+    w = program.config.frequencies[idx]
+    return program.row_scales[idx] * (-j0 / (w * g0)), j0
 
 
 def decode_scalar_product(program: CompiledProgram, flows: FlowReport) -> DecodedResult:

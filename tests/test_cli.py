@@ -8,6 +8,7 @@ from thermoflow.cli import (
     EXIT_SOLVABILITY,
     EXIT_VALIDATION,
     InputError,
+    _parse_sweep,
     compile_problem,
     config_from_dict,
     config_to_dict,
@@ -18,6 +19,7 @@ from thermoflow.cli import (
 
 GOLDEN = Path(__file__).parent / "data" / "golden_crossbar_2x2.cir"
 GOLDEN_SIGNED = Path(__file__).parent / "data" / "golden_signed_report.json"
+GOLDEN_MATVEC = Path(__file__).parent / "data" / "golden_matvec_report.json"
 
 
 def write_doc(tmp_path, name, doc):
@@ -196,6 +198,104 @@ class TestRun:
         assert main(argv) == 0
         assert out.read_bytes() == GOLDEN_SIGNED.read_bytes()
 
+    def test_golden_matvec_report(self, tmp_path):
+        # 12 modes spread over a non-zero group width, zero inputs, two overrides
+        rng = np.random.default_rng(12)
+        matrix = rng.uniform(0.0, 1.0, size=(12, 9)).round(3)
+        vector = rng.uniform(0.0, 10.0, size=9).round(3)
+        vector[[2, 6]] = 0.0
+        problem = {
+            "kind": "matvec",
+            "matrix": matrix.tolist(),
+            "vector": vector.tolist(),
+            "settings": {"group_tol": 1e-2, "drain_ratio": 1e-3},
+        }
+        path = write_doc(tmp_path, "matvec.json", problem)
+        out = tmp_path / "report.json"
+        argv = ["run", path, "--oracle", "--no-timing", "--output", str(out)]
+        assert main(argv) == 0
+        assert out.read_bytes() == GOLDEN_MATVEC.read_bytes()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d["groups"][0].update(mode_indices=[0, 5]),
+            lambda d: d["groups"][0].update(mode_indices=[0, 0]),
+            lambda d: d["groups"][0].update(mode_indices=[0, -1]),
+            lambda d: d["groups"][0].update(mode_indices=[0, 1.0]),
+            lambda d: d["groups"][0].update(mode_indices=[0]),
+            lambda d: d["groups"].append(dict(d["groups"][0], mode_indices=[1])),
+            lambda d: d.update(row_scales=[1.0]),
+            lambda d: d.update(row_dots=[1.0, 2.0, 3.0]),
+            lambda d: d["groups"][0].update(input_occupancies=[1.0]),
+        ],
+        ids=[
+            "index-out-of-range",
+            "index-repeated",
+            "index-negative",
+            "index-float",
+            "mode-in-no-group",
+            "mode-in-two-groups",
+            "short-row_scales",
+            "long-row_dots",
+            "short-input_occupancies",
+        ],
+    )
+    def test_bad_compiled_program_is_validation_error(self, tmp_path, capsys, edit):
+        doc = compile_problem(
+            {"kind": "matvec", "matrix": [[0.2, 0.8], [0.9, 0.1]], "vector": [1, 3]}
+        )
+        edit(doc)
+        path = write_doc(tmp_path, "compiled.json", doc)
+        assert main(["run", path]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d.pop("parts"),
+            lambda d: d.update(parts={}),
+            lambda d: d.update(parts=[]),
+            lambda d: d["parts"].update(zero=d["parts"]["plus"]),
+            lambda d: d["parts"].update(minus=None),
+            lambda d: d["parts"]["plus"].pop("rows"),
+            lambda d: d["parts"]["plus"].update(rows=[0, 0]),
+            lambda d: d["parts"]["plus"].update(rows=[0, 2]),
+            lambda d: d["parts"]["plus"].update(rows=[0]),
+            lambda d: d["parts"]["plus"].update(rows=[-1, 1]),
+            lambda d: d.pop("target_shape"),
+        ],
+        ids=[
+            "no-parts",
+            "empty-parts",
+            "parts-not-mapping",
+            "unknown-part",
+            "null-part",
+            "no-rows",
+            "rows-repeated",
+            "row-out-of-range",
+            "fewer-rows-than-modes",
+            "row-negative",
+            "no-target_shape",
+        ],
+    )
+    def test_bad_compiled_signed_is_validation_error(self, tmp_path, capsys, edit):
+        doc = compile_problem(
+            {
+                "kind": "signed_matvec",
+                "matrix": [[0.5, -1.0], [0.2, 0.3]],
+                "vector": [1, 3],
+            }
+        )
+        edit(doc)
+        path = write_doc(tmp_path, "compiled.json", doc)
+        assert main(["run", path]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_signed_compiled_run_matches_problem_run(self, tmp_path):
         problem = {
             "kind": "signed_matvec",
@@ -264,6 +364,14 @@ class TestTransient:
 
     def test_bad_sweep_range(self):
         assert main(["transient", "--sweep-n", "lots"]) == EXIT_VALIDATION
+        assert main(["transient", "--sweep-n", "8..2"]) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("spec", ["0..4", "-2..4"])
+    def test_sweep_must_start_positive(self, spec):
+        # n *= 2 never passes hi from n <= 0; called directly so a regression
+        # fails here instead of looping inside main
+        with pytest.raises(InputError):
+            _parse_sweep(spec)
 
     def test_needs_problem_or_sweep(self):
         assert main(["transient"]) == EXIT_VALIDATION
