@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -60,27 +62,29 @@ def config_to_dict(config: DeviceConfig) -> dict:
             {"temperature": r.temperature, "is_drain": r.is_drain}
             for r in config.reservoirs
         ],
-        "couplings": config.couplings.tolist(),
+        "couplings": [FloatRow(row) for row in config.couplings.tolist()],
     }
 
 
 def config_from_dict(doc: dict) -> DeviceConfig:
     try:
-        modes = tuple(
-            Mode(frequency=float(m["frequency"]), group_id=int(m.get("group_id", 1)))
-            for m in doc["modes"]
-        )
-        reservoirs = tuple(
-            Reservoir(
-                temperature=float(r["temperature"]),
-                is_drain=bool(r.get("is_drain", False)),
-            )
+        modes = [
+            (float(m["frequency"]), int(m.get("group_id", 1))) for m in doc["modes"]
+        ]
+        reservoirs = [
+            (float(r["temperature"]), bool(r.get("is_drain", False)))
             for r in doc["reservoirs"]
-        )
+        ]
         couplings = np.array(doc["couplings"], dtype=float)
     except KeyError as exc:
         raise InputError(f"raw config missing field: {exc.args[0]}") from exc
-    return DeviceConfig(modes=modes, reservoirs=reservoirs, couplings=couplings)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"raw config field of the wrong type: {exc}") from exc
+    return DeviceConfig(
+        modes=tuple(Mode(frequency=f, group_id=g) for f, g in modes),
+        reservoirs=tuple(Reservoir(temperature=t, is_drain=d) for t, d in reservoirs),
+        couplings=couplings,
+    )
 
 
 def program_to_dict(program: CompiledProgram) -> dict:
@@ -111,6 +115,7 @@ def program_to_dict(program: CompiledProgram) -> dict:
 
 def program_from_dict(doc: dict) -> CompiledProgram:
     try:
+        config = doc["config"]
         groups = tuple(
             GroupSpec(
                 group_id=int(g["group_id"]),
@@ -123,9 +128,7 @@ def program_from_dict(doc: dict) -> CompiledProgram:
             )
             for g in doc["groups"]
         )
-        program = CompiledProgram(
-            config=config_from_dict(doc["config"]),
-            groups=groups,
+        fields = dict(
             drain_ratio=float(doc["drain_ratio"]),
             row_scales=np.array(doc["row_scales"], dtype=float),
             occupancy_floor=float(doc["occupancy_floor"]),
@@ -135,6 +138,11 @@ def program_from_dict(doc: dict) -> CompiledProgram:
         )
     except KeyError as exc:
         raise InputError(f"compiled program missing field: {exc.args[0]}") from exc
+    except InputError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"compiled program field of the wrong type: {exc}") from exc
+    program = CompiledProgram(config=config_from_dict(config), groups=groups, **fields)
     k, n = program.config.n_modes, program.config.n_reservoirs - 1
     if sorted(i for g in groups for i in g.mode_indices) != list(range(k)):
         raise InputError(f"groups must hold each of the {k} modes exactly once")
@@ -152,13 +160,84 @@ def _indices(value, field: str) -> tuple:
     raise InputError(f"{field} must be a list of non-negative integers")
 
 
+# --- JSON output --------------------------------------------------------------
+#
+# Reports and compiled documents are the bytes that json.dumps gives with
+# sort_keys and an indent of 2, plus a newline, without NaN or Infinity. With an
+# indent, json falls back to its pure-Python encoder, which yields each float as
+# a token of its own; the writer below formats a list of numbers with one join,
+# appends one piece per such list and joins the pieces once.
+
+
+class FloatRow(tuple):
+    """A row of floats that keeps its compact JSON text ("0.5, 1.0") once it is
+    first written, so that a report and its config_hash format each float once.
+    JSON writers treat it as a list."""
+
+    @functools.cached_property
+    def text(self) -> str | None:
+        return _numbers(self)
+
+
+def _numbers(values) -> str | None:
+    """Compact JSON text of a sequence of plain ints and floats, else None."""
+    if not set(map(type, values)) <= {int, float}:
+        return None
+    text = ", ".join(map(repr, values))
+    if "n" in text:  # of the reprs of ints and floats, only nan and inf hold an n
+        raise FloatingPointError("NaN or Infinity in a JSON document")
+    return text
+
+
+def _write(value, lead: str, out: list, nl: str | None) -> None:
+    """Append the JSON text of value, preceded by lead, to out. nl is None for
+    the compact form (json.dumps' default separators), else the newline and
+    indent that start value's own line; nested levels indent two more spaces."""
+    if isinstance(value, (dict, list, tuple)) and not value:
+        out.append(lead + ("{}" if isinstance(value, dict) else "[]"))
+        return
+    inner = None if nl is None else nl + "  "
+    sep = ", " if inner is None else "," + inner
+    if isinstance(value, dict):
+        lead += "{" + (inner or "")
+        for key in sorted(value):
+            _write(value[key], lead + json.dumps(key) + ": ", out, inner)
+            lead = sep
+        out.append((nl or "") + "}")
+    elif isinstance(value, (list, tuple)):
+        text = value.text if isinstance(value, FloatRow) else _numbers(value)
+        if text is not None:
+            # a float repr never holds ", ", so this only moves separators
+            body = text if inner is None else inner + text.replace(", ", sep) + nl
+            out.append(lead + "[" + body + "]")
+            return
+        lead += "[" + (inner or "")
+        for item in value:
+            _write(item, lead, out, inner)
+            lead = sep
+        out.append((nl or "") + "]")
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise FloatingPointError("NaN or Infinity in a JSON document")
+    else:
+        out.append(lead + json.dumps(value))
+
+
 def dump_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """doc as strict JSON, sorted keys, two-space indent and a final newline:
+    the bytes of json.dumps with those options, except that NaN and Infinity
+    raise FloatingPointError. Keys are strings."""
+    out: list = []
+    _write(doc, "", out, "\n")
+    out.append("\n")
+    return "".join(out)
 
 
-def config_hash(config: DeviceConfig) -> str:
-    canonical = json.dumps(config_to_dict(config), sort_keys=True)
-    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+def config_hash(config_doc: dict) -> str:
+    """First 16 hex digits of the SHA-256 of a config document's compact JSON,
+    json.dumps(config_doc, sort_keys=True); reuses its couplings' row text."""
+    out: list = []
+    _write(config_doc, "", out, None)
+    return hashlib.sha256("".join(out).encode()).hexdigest()[:16]
 
 
 # --- problem files ------------------------------------------------------------
@@ -189,9 +268,12 @@ def _require(doc: dict, field: str):
 def _array(doc: dict, field: str) -> np.ndarray:
     value = _require(doc, field)
     try:
-        return np.array(value, dtype=float)
+        array = np.array(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InputError(f"field {field!r} is not a numeric array: {exc}") from exc
+    if not np.isfinite(array).all():
+        raise InputError(f"field {field!r} holds NaN or Infinity")
+    return array
 
 
 def load_document(path: str) -> dict:
@@ -277,8 +359,8 @@ def run_compiled(doc: dict, with_oracle: bool, problem_doc: dict | None) -> dict
             entropy_rate=flows.entropy_rate,
             settling_time=_settling_time(config),
             config=config_to_dict(config),
-            config_hash=config_hash(config),
         )
+        report["config_hash"] = config_hash(report["config"])
         if raw:
             return report
         if program.kind == "scalar":
@@ -297,7 +379,7 @@ def run_compiled(doc: dict, with_oracle: bool, problem_doc: dict | None) -> dict
             tables[name] = _flow_tables(flows)
             entropy += flows.entropy_rate
             settle = max(settle, _settling_time(program.config))
-            hashes[name] = config_hash(program.config)
+            hashes[name] = config_hash(config_to_dict(program.config))
         result = compiler.combine_signed(m, decoded)
         report.update(
             kind="signed_matvec",
@@ -372,10 +454,31 @@ def _emit(text: str, output: str | None):
 # --- subcommands --------------------------------------------------------------
 
 
+def _device_size(compiled: dict) -> tuple:
+    """Modes and reservoirs of a well-formed compiled document, summed over the
+    parts of a signed one."""
+    if compiled["type"] == "compiled_signed":
+        configs = [part["program"]["config"] for part in compiled["parts"].values()]
+    else:
+        configs = [compiled["config"]]
+    return tuple(sum(len(c[key]) for c in configs) for key in ("modes", "reservoirs"))
+
+
+def _write_output(command: str, doc: dict, output: str | None):
+    text = dump_json(doc)
+    log.debug("%s: serialized %d bytes", command, len(text))
+    _emit(text, output)
+    log.debug("%s: wrote %d bytes to %s", command, len(text), output or "stdout")
+
+
 def cmd_compile(args) -> int:
     doc = load_document(args.problem)
+    log.debug("compile: loaded %s, kind %r", args.problem, doc.get("kind"))
     compiled = compile_problem(doc)
-    _emit(dump_json(compiled), args.output)
+    log.debug(
+        "compile: %s, %d modes, %d reservoirs", compiled["type"], *_device_size(compiled)
+    )
+    _write_output("compile", compiled, args.output)
     if compiled["type"] == "compiled_program":
         cfg = compiled["config"]
         spread = max(g["spread"] for g in compiled["groups"])
@@ -389,12 +492,20 @@ def cmd_compile(args) -> int:
 
 def cmd_run(args) -> int:
     doc = load_document(args.problem)
+    log.debug(
+        "run: loaded %s, type %r, kind %r", args.problem, doc.get("type"), doc.get("kind")
+    )
     problem_doc = None if _is_compiled(doc) else doc
     started = time.monotonic()
-    report = run_compiled(_ensure_compiled(doc), args.oracle, problem_doc)
+    compiled = _ensure_compiled(doc)
+    log.debug("run: compiled, type %r", compiled["type"])
+    report = run_compiled(compiled, args.oracle, problem_doc)
+    log.debug(
+        "run: ran %r, %d modes, %d reservoirs", report["kind"], *_device_size(compiled)
+    )
     if not args.no_timing:
         report["timing"] = {"seconds": time.monotonic() - started}
-    _emit(dump_json(report), args.output)
+    _write_output("run", report, args.output)
     return 0
 
 

@@ -1,25 +1,34 @@
 import json
+import logging
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from thermoflow.cli import (
+    EXIT_NUMERICAL,
     EXIT_SOLVABILITY,
     EXIT_VALIDATION,
+    FloatRow,
     InputError,
     _parse_sweep,
     compile_problem,
     config_from_dict,
     config_to_dict,
+    dump_json,
     main,
     program_from_dict,
     program_to_dict,
 )
 
+NAN, INF = float("nan"), float("inf")
 GOLDEN = Path(__file__).parent / "data" / "golden_crossbar_2x2.cir"
 GOLDEN_SIGNED = Path(__file__).parent / "data" / "golden_signed_report.json"
 GOLDEN_MATVEC = Path(__file__).parent / "data" / "golden_matvec_report.json"
+GOLDEN_COMPILED = {
+    "matvec": Path(__file__).parent / "data" / "golden_compiled_matvec.json",
+    "signed_matvec": Path(__file__).parent / "data" / "golden_compiled_signed.json",
+}
 
 
 def write_doc(tmp_path, name, doc):
@@ -44,22 +53,43 @@ def matvec_problem(tmp_path):
     )
 
 
+# raw config matching the checked-in golden netlist
+GOLDEN_PROBLEM = {
+    "kind": "raw_config",
+    "modes": [{"frequency": 1.0}, {"frequency": 2.0}],
+    "reservoirs": [
+        {"temperature": 1e-9, "is_drain": True},
+        {"temperature": 1.4426950408889634},
+    ],
+    "couplings": [[1.0, 1.0], [1.0, 2.0]],
+}
+
+
 @pytest.fixture
 def golden_problem(tmp_path):
-    # raw config matching the checked-in golden netlist
-    return write_doc(
-        tmp_path,
-        "golden.json",
-        {
-            "kind": "raw_config",
-            "modes": [{"frequency": 1.0}, {"frequency": 2.0}],
-            "reservoirs": [
-                {"temperature": 1e-9, "is_drain": True},
-                {"temperature": 1.4426950408889634},
-            ],
-            "couplings": [[1.0, 1.0], [1.0, 2.0]],
-        },
-    )
+    return write_doc(tmp_path, "golden.json", GOLDEN_PROBLEM)
+
+
+def golden_compile_problem(kind):
+    """Small seeded problems with settings overrides, pinned by the golden
+    compiled documents."""
+    if kind == "matvec":
+        rng = np.random.default_rng(41)
+        matrix = rng.uniform(0.0, 1.0, size=(7, 5)).round(3)
+        settings = {"group_tol": 1e-2, "drain_ratio": 1e-3, "total_rate": 2.5}
+    else:
+        rng = np.random.default_rng(42)
+        matrix = rng.uniform(-1.0, 1.0, size=(6, 4)).round(3)
+        matrix[2, 1] = 0.0
+        settings = {"group_tol": 1e-2, "base_frequency": 2.0, "occupancy_floor": 1e-10}
+    vector = rng.uniform(0.0, 10.0, size=matrix.shape[1]).round(3)
+    vector[-1] = 0.0
+    return {
+        "kind": kind,
+        "matrix": matrix.tolist(),
+        "vector": vector.tolist(),
+        "settings": settings,
+    }
 
 
 class TestCompile:
@@ -119,14 +149,36 @@ class TestCompile:
             },
             # rel_tol is a transient option, not an encoder setting
             {"kind": "scalar", "a": [1.0], "b": [1.0], "settings": {"rel_tol": 1e-3}},
+            {"kind": "matvec", "matrix": [[1, 2], [3, 4]], "vector": [NAN, 1]},
+            {"kind": "matvec", "matrix": [[1, INF], [3, 4]], "vector": [1, 2]},
+            {"kind": "signed_matvec", "matrix": [[1, -INF]], "vector": [1, 2]},
+            {"kind": "scalar", "a": [1.0, -INF], "b": [1.0, 2.0]},
+            {"kind": "scalar", "a": [1.0], "b": [NAN]},
         ],
-        ids=["ragged-matrix", "string-in-vector", "string-setting", "rel_tol-setting"],
+        ids=[
+            "ragged-matrix",
+            "string-in-vector",
+            "string-setting",
+            "rel_tol-setting",
+            "nan-in-vector",
+            "inf-in-matrix",
+            "inf-in-signed-matrix",
+            "inf-in-a",
+            "nan-in-b",
+        ],
     )
     def test_bad_input_is_validation_error(self, tmp_path, capsys, doc):
         path = write_doc(tmp_path, "bad.json", doc)
         assert main(["compile", path]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("kind", ["matvec", "signed_matvec"])
+    def test_golden_compiled_document(self, tmp_path, kind):
+        path = write_doc(tmp_path, "problem.json", golden_compile_problem(kind))
+        out = tmp_path / "compiled.json"
+        assert main(["compile", path, "--output", str(out)]) == 0
+        assert out.read_bytes() == GOLDEN_COMPILED[kind].read_bytes()
 
     def test_settings_override(self):
         doc = compile_problem(
@@ -228,6 +280,12 @@ class TestRun:
             lambda d: d.update(row_scales=[1.0]),
             lambda d: d.update(row_dots=[1.0, 2.0, 3.0]),
             lambda d: d["groups"][0].update(input_occupancies=[1.0]),
+            lambda d: d["groups"][0].update(spread=None),
+            lambda d: d["groups"][0].update(input_occupancies=[[1.0], 2.0]),
+            lambda d: d.update(target_shape=None),
+            lambda d: d["config"]["modes"][0].update(frequency="x"),
+            lambda d: d["config"].update(couplings=[[1e-4, "x", 1], [1e-4, 1, 0.5]]),
+            lambda d: d.update(groups=[1]),
         ],
         ids=[
             "index-out-of-range",
@@ -239,6 +297,12 @@ class TestRun:
             "short-row_scales",
             "long-row_dots",
             "short-input_occupancies",
+            "null-spread",
+            "ragged-input_occupancies",
+            "null-target_shape",
+            "string-frequency",
+            "string-coupling",
+            "group-not-mapping",
         ],
     )
     def test_bad_compiled_program_is_validation_error(self, tmp_path, capsys, edit):
@@ -331,6 +395,50 @@ class TestRun:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and message in captured.err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d["modes"][1].update(frequency=NAN),
+            lambda d: d["couplings"][1].__setitem__(1, NAN),
+        ],
+        ids=["nan-frequency", "nan-coupling"],
+    )
+    def test_non_finite_report_is_numerical_failure(self, tmp_path, capsys, edit):
+        doc = json.loads(json.dumps(GOLDEN_PROBLEM))
+        edit(doc)
+        path = write_doc(tmp_path, "raw.json", doc)
+        assert main(["run", path]) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical failure: ")
+        assert captured.err.count("\n") == 1
+
+    def test_debug_log_names_every_stage(self, matvec_problem, tmp_path, caplog):
+        out = tmp_path / "quiet.json"
+        assert main(["run", matvec_problem, "--no-timing", "--output", str(out)]) == 0
+        assert not caplog.records
+        caplog.set_level(logging.DEBUG, logger="thermoflow")
+        logged = tmp_path / "logged.json"
+        assert main(["run", matvec_problem, "--no-timing", "--output", str(logged)]) == 0
+        assert logged.read_bytes() == out.read_bytes()
+        size = len(out.read_bytes())
+        assert caplog.messages == [
+            f"run: loaded {matvec_problem}, type None, kind 'matvec'",
+            "run: compiled, type 'compiled_program'",
+            "run: ran 'matvec', 2 modes, 3 reservoirs",
+            f"run: serialized {size} bytes",
+            f"run: wrote {size} bytes to {logged}",
+        ]
+        caplog.clear()
+        assert main(["compile", matvec_problem, "--output", str(out)]) == 0
+        size = len(out.read_bytes())
+        assert caplog.messages == [
+            f"compile: loaded {matvec_problem}, kind 'matvec'",
+            "compile: compiled_program, 2 modes, 3 reservoirs",
+            f"compile: serialized {size} bytes",
+            f"compile: wrote {size} bytes to {out}",
+        ]
 
     def test_raw_config_run(self, golden_problem, tmp_path):
         out = tmp_path / "report.json"
@@ -436,3 +544,26 @@ class TestRoundTrips:
         del doc["row_scales"]
         with pytest.raises(InputError, match="row_scales"):
             program_from_dict(doc)
+
+
+class TestJson:
+    @pytest.mark.parametrize("bad", [NAN, INF, -INF, np.float64(NAN)])
+    @pytest.mark.parametrize(
+        "wrap",
+        [
+            lambda x: {"value": x},
+            lambda x: {"values": [1.0, x]},
+            lambda x: {"rows": [[1, 2.0], (x, 3.0)]},
+            lambda x: {"rows": [FloatRow([1.0, 2.0]), FloatRow([float(x), 3.0])]},
+        ],
+        ids=["scalar", "list", "nested", "float-rows"],
+    )
+    def test_non_finite_is_refused(self, wrap, bad):
+        with pytest.raises(FloatingPointError):
+            dump_json(wrap(bad))
+
+    def test_float_rows_write_as_lists(self):
+        rows = [FloatRow([0.5, -0.0]), FloatRow([5e-324, 1e16, 3]), FloatRow([])]
+        assert rows[0] == (0.5, -0.0) and rows[1].text == "5e-324, 1e+16, 3"
+        doc = {"rows": rows, "row": rows[0]}
+        assert dump_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"

@@ -6,12 +6,18 @@ whole arrays. The array forms keep every floating-point expression in the same
 order, so compiled programs, decoded values, bounds, series resistors, branch
 statuses and netlist bytes must match them exactly. Only the crossbar forward
 solve sums in another order and is compared to a tolerance.
+
+The JSON writer is compared the same way, with json.dumps as its reference.
 """
 
 import hashlib
+import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermoflow import compiler, dynamics, physics
 from thermoflow.circuit import (
@@ -26,7 +32,15 @@ from thermoflow.circuit import (
     export_netlist,
     format_netlist,
 )
-from thermoflow.cli import config_to_dict, dump_json, main, random_config
+from thermoflow.cli import (
+    compile_problem,
+    config_hash,
+    config_to_dict,
+    dump_json,
+    main,
+    random_config,
+    run_compiled,
+)
 from thermoflow.compiler import EncodeSettings
 from thermoflow.physics import (
     T_FLOOR,
@@ -215,6 +229,15 @@ def ref_netlist(circuit):
     return format_netlist(digest.hexdigest()[:16], elements)
 
 
+def ref_dump_json(doc):
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def ref_config_hash(config):
+    canonical = json.dumps(config_to_dict(config), sort_keys=True)
+    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+
+
 # --- comparisons --------------------------------------------------------------
 
 
@@ -382,3 +405,74 @@ def test_transient_csv_matches_row_loop(tmp_path):
         cells += [repr(float(x)) for x in trace.occupancies[i]]
         cells += [repr(float(x)) for x in trace.flows[i]]
         assert line == ",".join(cells)
+
+
+# --- JSON writer ----------------------------------------------------------------
+
+FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-7, 0.1, 1.7976931348623157e308]
+)
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | FLOATS
+    | FLOATS.map(np.float64)
+    | st.text()
+    | st.sampled_from(['"', "\\", "\n\t\x00", "\u00e9\u2603", "\U0001f600", ""])
+)
+NUMBER_LISTS = st.lists(FLOATS | st.integers(), min_size=1)
+
+
+def containers(children):
+    return (
+        st.lists(children)
+        | st.lists(children).map(tuple)
+        | st.dictionaries(st.text(), children)
+        | st.lists(NUMBER_LISTS, min_size=1)
+    )
+
+
+DOCUMENTS = st.recursive(SCALARS | NUMBER_LISTS, containers, max_leaves=30)
+
+
+@settings(max_examples=150, deadline=None)
+@given(DOCUMENTS)
+def test_dump_json_matches_json_dumps(doc):
+    assert dump_json(doc) == ref_dump_json(doc)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_config_documents_match_json_dumps(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(50):
+        config = random_config(rng, 8, 32, allow_zero_couplings=True)
+        doc = {"config": config_to_dict(config), "empty": {}, "none": []}
+        assert dump_json(doc) == ref_dump_json(doc)
+        assert config_hash(doc["config"]) == ref_config_hash(config)
+
+
+def report_256():
+    rng = np.random.default_rng(256)
+    problem = {
+        "kind": "matvec",
+        "matrix": rng.uniform(0.0, 1.0, (256, 256)).tolist(),
+        "vector": rng.uniform(1e-6, 10.0, 256).tolist(),
+    }
+    return run_compiled(compile_problem(problem), True, problem)
+
+
+def test_dump_json_peak_memory_within_reference():
+    report = report_256()
+    tracemalloc.start()
+    try:
+        text = ref_dump_json(report)
+        ref_peak = tracemalloc.get_traced_memory()[1]
+        del text
+        tracemalloc.reset_peak()
+        text = dump_json(report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == ref_dump_json(report)
+    assert peak <= ref_peak
