@@ -14,8 +14,9 @@ compiled document, `circuit` under the max and `fixed:20.0` policies, and
 `transient --samples 40`. Problems: scalar, matvec and signed, small and
 256x256, with and without settings overrides, a raw config, and invalid
 inputs (non-finite numbers, an overflowing base frequency, compiled documents
-with mistyped fields). Each command runs in its own interpreter, so exit codes
-and stderr are those a shell sees.
+with mistyped fields, raw configs with a non-finite field, the drain at index
+1, flows that overflow or crossbar conductances that underflow). Each command
+runs in its own interpreter, so exit codes and stderr are those a shell sees.
 """
 
 from __future__ import annotations
@@ -107,7 +108,38 @@ def problems() -> dict:
     cases["invalid-couplings-string"] = _compiled(
         small, lambda d: d["config"].update(couplings=[["x"] * 5] * 5)
     )
+    raw = cases["raw-config"]
+    cases["invalid-nan-frequency"] = _edited(
+        raw, lambda d: d["modes"][0].update(frequency=float("nan"))
+    )
+    cases["invalid-inf-temperature"] = _edited(
+        raw, lambda d: d["reservoirs"][1].update(temperature=float("inf"))
+    )
+    cases["invalid-drain-at-1"] = _edited(raw, lambda d: d["reservoirs"].reverse())
+    cases["invalid-overflowing-flows"] = {
+        "kind": "raw_config",
+        "modes": [{"frequency": 1e200}, {"frequency": 2e200}],
+        "reservoirs": [
+            {"temperature": 1e-9, "is_drain": True},
+            {"temperature": 1e201},
+            {"temperature": 3e200},
+        ],
+        "couplings": [[1e200, 1e200, 2e200], [1e200, 3e200, 1e200]],
+    }
+    cases["invalid-underflowing-conductance"] = {
+        "kind": "raw_config",
+        "modes": [{"frequency": 1e-200}],
+        "reservoirs": [{"temperature": 1e-9, "is_drain": True}, {"temperature": 1.0}],
+        "couplings": [[1e-200, 1e-200]],
+    }
     return cases
+
+
+def _edited(doc: dict, edit) -> dict:
+    """A deep copy of doc with one field changed by edit."""
+    doc = json.loads(json.dumps(doc))
+    edit(doc)
+    return doc
 
 
 def _run(argv: list, env: dict, out: Path, name: str) -> subprocess.CompletedProcess:

@@ -6,8 +6,6 @@ from thermoflow.physics import (
     T_FLOOR,
     DeviceConfig,
     FlowReport,
-    Mode,
-    Reservoir,
     bose_occupancy,
     inverse_temperature,
     stationary_flows,
@@ -38,8 +36,6 @@ from thermoflow.circuit import (
 
 __all__ = [
     "T_FLOOR",
-    "Mode",
-    "Reservoir",
     "DeviceConfig",
     "FlowReport",
     "bose_occupancy",

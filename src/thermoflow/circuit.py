@@ -151,7 +151,7 @@ def build_crossbar(
     """
     flows = stationary_flows(config)
     w = config.frequencies
-    phi = occupancy_table(config)
+    phi = flows.occupancies
     g = config.couplings
     active = g > 0.0
     currents = np.where(active, flows.per_channel / w[:, None], 0.0)
@@ -283,7 +283,8 @@ def parse_netlist(text: str):
 
 
 def export_netlist(circuit, fmt: str = "spice") -> str:
-    """Deterministic netlist text for a star or crossbar circuit."""
+    """Deterministic netlist text for a star or crossbar circuit; a NaN or
+    infinite element value raises FloatingPointError."""
     if fmt != "spice":
         raise ConfigError(f"unsupported netlist format: {fmt!r}")
     if isinstance(circuit, StarCircuit):
@@ -292,7 +293,9 @@ def export_netlist(circuit, fmt: str = "spice") -> str:
         elements = _crossbar_elements(circuit)
     else:
         raise ConfigError(f"cannot export {type(circuit).__name__} as a netlist")
-    digest = hashlib.sha256(
-        "\n".join(repr(e) for e in elements).encode()
-    ).hexdigest()[:16]
+    text = "\n".join(repr(e) for e in elements)
+    # element kinds, names and nodes never spell nan or inf; a non-finite value does
+    if "nan" in text or "inf" in text:
+        raise FloatingPointError("NaN or Infinity in a netlist value")
+    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
     return format_netlist(digest, elements)

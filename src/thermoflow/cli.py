@@ -32,7 +32,7 @@ from thermoflow.circuit import (
     export_netlist,
 )
 from thermoflow.compiler import CompiledProgram, EncodeSettings, GroupSpec
-from thermoflow.physics import ConfigError, DeviceConfig, Mode, Reservoir
+from thermoflow.physics import ConfigError, DeviceConfig
 
 SCHEMA_VERSION = 1
 
@@ -54,13 +54,12 @@ class InputError(ValueError):
 
 
 def config_to_dict(config: DeviceConfig) -> dict:
+    modes = zip(config.frequencies.tolist(), config.group_ids.tolist())
     return {
-        "modes": [
-            {"frequency": m.frequency, "group_id": m.group_id} for m in config.modes
-        ],
+        "modes": [{"frequency": w, "group_id": g} for w, g in modes],
         "reservoirs": [
-            {"temperature": r.temperature, "is_drain": r.is_drain}
-            for r in config.reservoirs
+            {"temperature": t, "is_drain": j == 0}
+            for j, t in enumerate(config.temperatures.tolist())
         ],
         "couplings": [FloatRow(row) for row in config.couplings.tolist()],
     }
@@ -68,23 +67,18 @@ def config_to_dict(config: DeviceConfig) -> dict:
 
 def config_from_dict(doc: dict) -> DeviceConfig:
     try:
-        modes = [
-            (float(m["frequency"]), int(m.get("group_id", 1))) for m in doc["modes"]
-        ]
-        reservoirs = [
-            (float(r["temperature"]), bool(r.get("is_drain", False)))
-            for r in doc["reservoirs"]
-        ]
+        frequencies = [float(m["frequency"]) for m in doc["modes"]]
+        group_ids = [int(m.get("group_id", 1)) for m in doc["modes"]]
+        temperatures = [float(r["temperature"]) for r in doc["reservoirs"]]
+        drains = [bool(r.get("is_drain", False)) for r in doc["reservoirs"]]
         couplings = np.array(doc["couplings"], dtype=float)
     except KeyError as exc:
         raise InputError(f"raw config missing field: {exc.args[0]}") from exc
     except (TypeError, ValueError) as exc:
         raise InputError(f"raw config field of the wrong type: {exc}") from exc
-    return DeviceConfig(
-        modes=tuple(Mode(frequency=f, group_id=g) for f, g in modes),
-        reservoirs=tuple(Reservoir(temperature=t, is_drain=d) for t, d in reservoirs),
-        couplings=couplings,
-    )
+    if [j for j, drain in enumerate(drains) if drain] != [0]:
+        raise ConfigError("exactly one drain reservoir required, at index 0")
+    return DeviceConfig(frequencies, temperatures, couplings, group_ids)
 
 
 def program_to_dict(program: CompiledProgram) -> dict:
@@ -561,6 +555,8 @@ def cmd_transient(args) -> int:
         + [f"flow_res{j}" for j in range(config.n_reservoirs)]
     )
     table = np.column_stack([trace.times, trace.occupancies, trace.flows])
+    if not np.isfinite(table).all():
+        raise FloatingPointError("NaN or Infinity in the transient trace")
     rows = [",".join(header)] + [",".join(map(repr, row.tolist())) for row in table]
     _emit("\n".join(rows) + "\n", args.output)
     settle = dynamics.settling_time(config, initial, args.rel_tol)
@@ -571,17 +567,11 @@ def cmd_transient(args) -> int:
 def _sweep_settling_time(n: int, rel_tol: float, drain_ratio: float = 1e-4) -> float:
     """Fixed total rate per mode, weights redistributed over n reservoirs."""
     t_hot = physics.inverse_temperature(1.0, 1.0)
-    reservoirs = [Reservoir(temperature=physics.T_FLOOR, is_drain=True)]
-    reservoirs += [Reservoir(temperature=t_hot)] * n
     row = np.empty(n + 1)
     row[1:] = (1.0 / (1.0 + drain_ratio)) / n
     row[0] = drain_ratio / (1.0 + drain_ratio)
-    config = DeviceConfig(
-        modes=(Mode(frequency=1.0),),
-        reservoirs=tuple(reservoirs),
-        couplings=row[None, :],
-    )
-    return float(dynamics.settling_time(config, np.zeros(1), rel_tol))
+    config = DeviceConfig([1.0], [physics.T_FLOOR] + [t_hot] * n, row[None, :])
+    return dynamics.settling_time(config, np.zeros(1), rel_tol)
 
 
 def _parse_policy(spec: str):
@@ -598,10 +588,12 @@ def _parse_policy(spec: str):
 def cmd_circuit(args) -> int:
     config = _compiled_config(load_document(args.problem))
     crossbar = build_crossbar(config, policy=_parse_policy(args.policy))
-    _emit(export_netlist(crossbar, fmt=args.format), args.output)
     flows = physics.stationary_flows(config)
     recovered = crossbar_currents(crossbar) * config.frequencies[:, None]
     residual = float(np.max(np.abs(recovered - flows.per_channel)))
+    if not math.isfinite(residual):
+        raise FloatingPointError("NaN or Infinity in the crossbar flows or values")
+    _emit(export_netlist(crossbar, fmt=args.format), args.output)
     print(f"max |I*w - J| residual: {residual:.3e}", file=sys.stderr)
     return 0
 
@@ -652,15 +644,14 @@ def random_config(
     a fifth of the non-drain couplings are exactly 0."""
     k = int(rng.integers(1, max_modes + 1))
     n = int(rng.integers(1, max_reservoirs + 1))
-    modes = tuple(Mode(frequency=float(rng.uniform(0.5, 3.0))) for _ in range(k))
-    reservoirs = [Reservoir(temperature=physics.T_FLOOR, is_drain=True)]
-    reservoirs += [Reservoir(float(rng.uniform(0.1, 5.0))) for _ in range(n)]
+    frequencies = rng.uniform(0.5, 3.0, size=k)
+    temperatures = np.concatenate([[physics.T_FLOOR], rng.uniform(0.1, 5.0, size=n)])
     couplings = rng.uniform(0.05, 2.0, size=(k, n + 1))
     if allow_zero_couplings:
         mask = rng.random(couplings.shape) < 0.2
         mask[:, 0] = False  # the drain column keeps every row positive
         couplings = np.where(mask, 0.0, couplings)
-    return DeviceConfig(modes=modes, reservoirs=tuple(reservoirs), couplings=couplings)
+    return DeviceConfig(frequencies, temperatures, couplings)
 
 
 # --- entry point --------------------------------------------------------------

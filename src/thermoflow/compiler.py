@@ -20,8 +20,6 @@ from thermoflow.physics import (
     ConfigError,
     DeviceConfig,
     FlowReport,
-    Mode,
-    Reservoir,
     bose_occupancy,
     inverse_temperature,
 )
@@ -160,7 +158,8 @@ def _compile_groups(tasks, b, settings: EncodeSettings, kind: str) -> CompiledPr
     temps[0] = T_FLOOR
     temps[1:] = inverse_temperature(w_base, b_floored)
 
-    modes = []
+    freq_blocks = []
+    group_ids = []
     blocks = []
     groups = []
     row_scales = []
@@ -191,8 +190,9 @@ def _compile_groups(tasks, b, settings: EncodeSettings, kind: str) -> CompiledPr
         block = np.empty((m, n + 1))
         block[:, 1:] = settings.total_rate * p_hat
         block[:, 0] = settings.drain_ratio * block[:, 1:].sum(axis=1)
-        start = len(modes)
-        modes += [Mode(frequency=w, group_id=gid) for w in freqs.tolist()]
+        start = sum(map(len, freq_blocks))
+        freq_blocks.append(freqs)
+        group_ids.append(np.full(m, gid))
         blocks.append(block)
         row_scales.append(scales)
         # One dot per row: the gemv p_hat @ input_occ rounds differently.
@@ -211,10 +211,11 @@ def _compile_groups(tasks, b, settings: EncodeSettings, kind: str) -> CompiledPr
 
     _check_group_separation(groups)
 
-    reservoirs = [Reservoir(temperature=T_FLOOR, is_drain=True)]
-    reservoirs += [Reservoir(temperature=t) for t in temps[1:]]
     config = DeviceConfig(
-        modes=tuple(modes), reservoirs=tuple(reservoirs), couplings=np.vstack(blocks)
+        frequencies=np.concatenate(freq_blocks),
+        temperatures=temps,
+        couplings=np.vstack(blocks),
+        group_ids=np.concatenate(group_ids),
     )
     return CompiledProgram(
         config=config,

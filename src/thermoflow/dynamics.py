@@ -91,7 +91,7 @@ def settling_time(config: DeviceConfig, initial_occupancies, rel_tol: float) -> 
             continue
         scale = rel_tol * max(target, SETTLING_FLOOR)
         t = max(t, math.log(abs(delta) / scale) / rate)
-    return max(t, 0.0)
+    return float(t)
 
 
 def stationary_window(config: DeviceConfig) -> float:

@@ -2,7 +2,7 @@
 n+1 thermal reservoirs.
 
 Natural units (hbar = k_B = 1) throughout; SI conversion is a front-end concern.
-Reservoir 0 is the cold drain. Couplings are stored gamma[mode][reservoir].
+The cold drain is reservoir 0. Couplings are stored gamma[mode][reservoir].
 Energy flow J[kappa][j] > 0 means energy flows from reservoir j into the system.
 """
 
@@ -64,88 +64,76 @@ def inverse_temperature(frequency, occupancy):
     return t
 
 
-@dataclass(frozen=True)
-class Mode:
-    """One bosonic mode: angular frequency and the frequency-group it belongs to."""
-
-    frequency: float
-    group_id: int = 1
-
-    def __post_init__(self):
-        if self.frequency <= 0.0:
-            raise ConfigError("mode frequency must be positive")
-
-
-@dataclass(frozen=True)
-class Reservoir:
-    """Thermal reservoir; the single drain (index 0) is the cold output channel."""
-
-    temperature: float
-    is_drain: bool = False
-
-    def __post_init__(self):
-        if self.temperature < T_FLOOR:
-            raise ConfigError(
-                f"reservoir temperature {self.temperature} below floor {T_FLOOR}"
-            )
+def _read_only(values, dtype=float) -> np.ndarray:
+    array = np.array(values, dtype=dtype)
+    array.setflags(write=False)
+    return array
 
 
 @dataclass(frozen=True)
 class DeviceConfig:
-    """Full physical device: modes, reservoirs and the dissipation-rate matrix.
+    """Full physical device as four read-only arrays.
 
-    couplings has shape (K, n+1), entry [kappa][j] = rate of mode kappa into
-    reservoir j. Immutable after construction; all operations on it are pure.
+    frequencies (K,) are the mode frequencies and group_ids (K,) their
+    frequency groups (default 1). temperatures (n+1,) are the reservoirs';
+    reservoir 0 is the cold drain. couplings (K, n+1) is the dissipation-rate
+    matrix, entry [kappa][j] = rate of mode kappa into reservoir j. Validated
+    once at construction; all operations on a config are pure.
     """
 
-    modes: tuple
-    reservoirs: tuple
+    frequencies: np.ndarray
+    temperatures: np.ndarray
     couplings: np.ndarray
+    group_ids: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "modes", tuple(self.modes))
-        object.__setattr__(self, "reservoirs", tuple(self.reservoirs))
-        g = np.array(self.couplings, dtype=float)
-        if g.ndim != 2 or g.shape != (len(self.modes), len(self.reservoirs)):
+        w = _read_only(self.frequencies)
+        t = _read_only(self.temperatures)
+        g = _read_only(self.couplings)
+        ids = np.ones(w.shape, dtype=int) if self.group_ids is None else self.group_ids
+        ids = _read_only(ids, int)
+        if w.ndim != 1 or t.ndim != 1 or g.shape != (w.size, t.size):
             raise ConfigError(
                 f"couplings shape {g.shape} does not match "
-                f"{len(self.modes)} modes x {len(self.reservoirs)} reservoirs"
+                f"{w.size} modes x {t.size} reservoirs"
             )
-        if np.any(g < 0.0):
-            raise ConfigError("couplings must be non-negative")
+        if ids.shape != w.shape:
+            raise ConfigError(f"group_ids need one entry per mode ({w.size})")
+        if not np.all((w > 0.0) & (w < np.inf)):
+            raise ConfigError("mode frequency must be finite and positive")
+        bad = t[~((t >= T_FLOOR) & (t < np.inf))]
+        if bad.size:
+            raise ConfigError(
+                f"reservoir temperature {bad[0]} not finite or below floor {T_FLOOR}"
+            )
+        if not np.all((g >= 0.0) & (g < np.inf)):
+            raise ConfigError("couplings must be finite and non-negative")
         if np.any(g.sum(axis=1) <= 0.0):
             raise ConfigError("every mode needs at least one positive coupling")
-        drains = [i for i, r in enumerate(self.reservoirs) if r.is_drain]
-        if drains != [0]:
-            raise ConfigError("exactly one drain reservoir required, at index 0")
-        g.setflags(write=False)
+        object.__setattr__(self, "frequencies", w)
+        object.__setattr__(self, "temperatures", t)
         object.__setattr__(self, "couplings", g)
-
-    @property
-    def frequencies(self):
-        return np.array([m.frequency for m in self.modes])
-
-    @property
-    def temperatures(self):
-        return np.array([r.temperature for r in self.reservoirs])
+        object.__setattr__(self, "group_ids", ids)
 
     @property
     def n_modes(self):
-        return len(self.modes)
+        return self.frequencies.size
 
     @property
     def n_reservoirs(self):
-        return len(self.reservoirs)
+        return self.temperatures.size
 
 
 @dataclass(frozen=True)
 class FlowReport:
     """Stationary energy flows: per (mode, reservoir) channel, per reservoir,
-    and the total entropy production rate."""
+    the total entropy production rate, and the (K, n+1) occupancy table the
+    flows were computed from."""
 
     per_channel: np.ndarray
     per_reservoir: np.ndarray
     entropy_rate: float
+    occupancies: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -178,7 +166,7 @@ def weighted_occupancy(config: DeviceConfig, mode_index: int) -> float:
     mode's stationary occupancy and stays between the min and max reservoir
     occupancies."""
     p = coupling_weights(config, mode_index)
-    occ = bose_occupancy(config.modes[mode_index].frequency, config.temperatures)
+    occ = bose_occupancy(config.frequencies[mode_index], config.temperatures)
     return float(p @ occ)
 
 
@@ -205,7 +193,7 @@ def stationary_flows(config: DeviceConfig) -> FlowReport:
     per_channel = config.frequencies[:, None] * g * (occ - n_tilde[:, None])
     per_reservoir = per_channel.sum(axis=0)
     sigma = entropy_rate_from_totals(config, per_reservoir)
-    return FlowReport(per_channel, per_reservoir, sigma)
+    return FlowReport(per_channel, per_reservoir, sigma, occ)
 
 
 def stationary_flows_pairwise(config: DeviceConfig) -> FlowReport:
@@ -220,10 +208,10 @@ def stationary_flows_pairwise(config: DeviceConfig) -> FlowReport:
     for kappa in range(k):
         diff = occ[kappa][:, None] - occ[kappa][None, :]  # (j, q)
         pair = g[kappa][:, None] * g[kappa][None, :] / totals[kappa]
-        per_channel[kappa] = config.modes[kappa].frequency * (pair * diff).sum(axis=1)
+        per_channel[kappa] = config.frequencies[kappa] * (pair * diff).sum(axis=1)
     per_reservoir = per_channel.sum(axis=0)
     sigma = entropy_rate_from_totals(config, per_reservoir)
-    return FlowReport(per_channel, per_reservoir, sigma)
+    return FlowReport(per_channel, per_reservoir, sigma, occ)
 
 
 def drain_flow_approx(config: DeviceConfig, mode_index: int) -> DrainFlowApprox:
@@ -233,10 +221,8 @@ def drain_flow_approx(config: DeviceConfig, mode_index: int) -> DrainFlowApprox:
     The absolute discrepancy is the encoding error from the drain's residual
     occupancy; it vanishes when the drain occupancy is exactly 0.
     """
-    if not config.reservoirs[0].is_drain:
-        raise ConfigError("reservoir 0 must be the drain")
     p = coupling_weights(config, mode_index)
-    w = config.modes[mode_index].frequency
+    w = float(config.frequencies[mode_index])
     occ = bose_occupancy(w, config.temperatures)
     approx = -w * config.couplings[mode_index, 0] * float(p[1:] @ occ[1:])
     n_tilde = float(p @ occ)
@@ -246,10 +232,7 @@ def drain_flow_approx(config: DeviceConfig, mode_index: int) -> DrainFlowApprox:
 
 def entropy_rate_from_totals(config: DeviceConfig, per_reservoir: np.ndarray) -> float:
     """sigma = -sum_j J_j / T_j; non-negative in the stationary state."""
-    t = config.temperatures
-    if np.any(t < T_FLOOR):
-        raise ConfigError("temperature below floor")
-    return float(-(per_reservoir / t).sum())
+    return float(-(per_reservoir / config.temperatures).sum())
 
 
 def entropy_production_rate(config: DeviceConfig, flows: FlowReport) -> float:

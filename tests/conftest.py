@@ -5,8 +5,6 @@ from thermoflow.cli import random_config  # noqa: F401  (imported by the test mo
 from thermoflow.physics import (
     T_FLOOR,
     DeviceConfig,
-    Mode,
-    Reservoir,
     inverse_temperature,
 )
 
@@ -17,14 +15,10 @@ def occupancy_config(frequency, occupancies, couplings):
 
     couplings: (K, len(occupancies)+1) rows including the drain column.
     """
-    reservoirs = [Reservoir(temperature=T_FLOOR, is_drain=True)]
-    for b in occupancies:
-        reservoirs.append(Reservoir(temperature=inverse_temperature(frequency, b)))
+    temperatures = [T_FLOOR] + [inverse_temperature(frequency, b) for b in occupancies]
     couplings = np.asarray(couplings, dtype=float)
-    modes = tuple(Mode(frequency=frequency) for _ in range(couplings.shape[0]))
-    return DeviceConfig(
-        modes=modes, reservoirs=tuple(reservoirs), couplings=couplings
-    )
+    frequencies = np.full(couplings.shape[0], float(frequency))
+    return DeviceConfig(frequencies, temperatures, couplings)
 
 
 @pytest.fixture

@@ -14,7 +14,7 @@ import pytest
 from conftest import random_config
 from thermoflow import cli, compiler, dynamics, physics
 from thermoflow.circuit import build_crossbar, crossbar_currents, oqs_to_star, star_currents
-from thermoflow.physics import DeviceConfig, Mode, Reservoir, T_FLOOR
+from thermoflow.physics import DeviceConfig, T_FLOOR
 
 GOLDEN = Path(__file__).parent / "data" / "golden_crossbar_2x2.cir"
 
@@ -101,7 +101,7 @@ def test_criterion_4_electrical_analogy(capsys):
         for kappa in range(config.n_modes):
             circuit = oqs_to_star(config, kappa)
             currents = star_currents(circuit)
-            w = config.modes[kappa].frequency
+            w = config.frequencies[kappa]
             for i, j in enumerate(circuit.labels):
                 if abs(currents[i] * w - flows.per_channel[kappa, j]) >= 1e-12 * scale:
                     ok = False
@@ -141,12 +141,8 @@ def test_criterion_5_settling_size_independence(capsys):
         row = np.empty((1, n + 1))
         row[0, 1:] = (1.0 / 1.0001) / n
         row[0, 0] = 1.0 - row[0, 1:].sum()
-        config = DeviceConfig(
-            modes=(Mode(1.0),),
-            reservoirs=(Reservoir(T_FLOOR, is_drain=True),)
-            + tuple(Reservoir(physics.inverse_temperature(1.0, 1.0)) for _ in range(n)),
-            couplings=row,
-        )
+        t_hot = physics.inverse_temperature(1.0, 1.0)
+        config = DeviceConfig([1.0], [T_FLOOR] + [t_hot] * n, row)
         times.append(dynamics.settling_time(config, np.zeros(1), 1e-6))
     spread = (max(times) - min(times)) / max(times)
 
@@ -203,12 +199,9 @@ def test_criterion_8_determinism(capsys, tmp_path):
         reports.append(out.read_bytes())
 
     golden_config = DeviceConfig(
-        modes=(Mode(1.0), Mode(2.0)),
-        reservoirs=(
-            Reservoir(T_FLOOR, is_drain=True),
-            Reservoir(physics.inverse_temperature(1.0, 1.0)),
-        ),
-        couplings=np.array([[1.0, 1.0], [1.0, 2.0]]),
+        [1.0, 2.0],
+        [T_FLOOR, physics.inverse_temperature(1.0, 1.0)],
+        np.array([[1.0, 1.0], [1.0, 2.0]]),
     )
     from thermoflow.circuit import export_netlist
 

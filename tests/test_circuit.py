@@ -23,8 +23,6 @@ from thermoflow.physics import (
     T_FLOOR,
     ConfigError,
     DeviceConfig,
-    Mode,
-    Reservoir,
     inverse_temperature,
     stationary_flows,
     weighted_occupancy,
@@ -35,12 +33,9 @@ GOLDEN = Path(__file__).parent / "data" / "golden_crossbar_2x2.cir"
 
 def golden_config():
     return DeviceConfig(
-        modes=(Mode(1.0), Mode(2.0)),
-        reservoirs=(
-            Reservoir(T_FLOOR, is_drain=True),
-            Reservoir(inverse_temperature(1.0, 1.0)),
-        ),
-        couplings=np.array([[1.0, 1.0], [1.0, 2.0]]),
+        [1.0, 2.0],
+        [T_FLOOR, inverse_temperature(1.0, 1.0)],
+        np.array([[1.0, 1.0], [1.0, 2.0]]),
     )
 
 
@@ -86,11 +81,7 @@ class TestOqsToStar:
 
     def test_equilibrium_zero_currents(self):
         t = inverse_temperature(1.0, 1.0)
-        config = DeviceConfig(
-            modes=(Mode(1.0),),
-            reservoirs=(Reservoir(t, is_drain=True), Reservoir(t)),
-            couplings=np.array([[0.4, 1.1]]),
-        )
+        config = DeviceConfig([1.0], [t, t], np.array([[0.4, 1.1]]))
         np.testing.assert_allclose(star_currents(oqs_to_star(config, 0)), 0.0, atol=1e-16)
 
     def test_node_potential_is_weighted_occupancy(self, rng):
@@ -117,7 +108,7 @@ class TestOqsToStar:
             for kappa in range(config.n_modes):
                 circuit = oqs_to_star(config, kappa)
                 currents = star_currents(circuit)
-                w = config.modes[kappa].frequency
+                w = config.frequencies[kappa]
                 for i, j in enumerate(circuit.labels):
                     assert abs(currents[i] * w - flows.per_channel[kappa, j]) <= 1e-12 * scale
 
@@ -219,6 +210,16 @@ class TestNetlist:
         assert export_netlist(build_crossbar(config)) == export_netlist(
             build_crossbar(config)
         )
+
+    def test_non_finite_value_refused(self):
+        star = StarCircuit(np.array([1.0, 1.0]), np.array([0.0, np.nan]))
+        with pytest.raises(FloatingPointError):
+            export_netlist(star)
+        # w * gamma underflows to 0, so the main resistors come out infinite
+        config = DeviceConfig([1e-200], [T_FLOOR, 1.0], [[1e-200, 1e-200]])
+        with pytest.warns(RuntimeWarning):
+            with pytest.raises(FloatingPointError):
+                export_netlist(build_crossbar(config))
 
     def test_unsupported_format(self):
         circuit = StarCircuit(np.array([1.0]), np.array([0.0]))

@@ -53,6 +53,26 @@ def matvec_problem(tmp_path):
     )
 
 
+# finite raw config whose flows overflow: circuit and transient must refuse it
+OVERFLOW_PROBLEM = {
+    "kind": "raw_config",
+    "modes": [{"frequency": 1e200}, {"frequency": 2e200}],
+    "reservoirs": [
+        {"temperature": 1e-9, "is_drain": True},
+        {"temperature": 1e201},
+        {"temperature": 3e200},
+    ],
+    "couplings": [[1e200, 1e200, 2e200], [1e200, 3e200, 1e200]],
+}
+
+# finite raw config whose crossbar conductances w * gamma underflow to 0
+UNDERFLOW_PROBLEM = {
+    "kind": "raw_config",
+    "modes": [{"frequency": 1e-200}],
+    "reservoirs": [{"temperature": 1e-9, "is_drain": True}, {"temperature": 1.0}],
+    "couplings": [[1e-200, 1e-200]],
+}
+
 # raw config matching the checked-in golden netlist
 GOLDEN_PROBLEM = {
     "kind": "raw_config",
@@ -401,18 +421,32 @@ class TestRun:
         [
             lambda d: d["modes"][1].update(frequency=NAN),
             lambda d: d["couplings"][1].__setitem__(1, NAN),
+            lambda d: d["reservoirs"][1].update(temperature=INF),
+            lambda d: d["couplings"][0].__setitem__(0, -INF),
         ],
-        ids=["nan-frequency", "nan-coupling"],
+        ids=["nan-frequency", "nan-coupling", "inf-temperature", "-inf-coupling"],
     )
-    def test_non_finite_report_is_numerical_failure(self, tmp_path, capsys, edit):
+    def test_non_finite_raw_config_is_validation_error(self, tmp_path, capsys, edit):
         doc = json.loads(json.dumps(GOLDEN_PROBLEM))
         edit(doc)
         path = write_doc(tmp_path, "raw.json", doc)
-        assert main(["run", path]) == EXIT_NUMERICAL
+        assert main(["run", path]) == EXIT_VALIDATION
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("numerical failure: ")
+        assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["run", "compile", "circuit", "transient"])
+    def test_drain_not_first_is_validation_error(self, tmp_path, capsys, command):
+        doc = json.loads(json.dumps(GOLDEN_PROBLEM))
+        doc["reservoirs"].reverse()
+        path = write_doc(tmp_path, "raw.json", doc)
+        assert main([command, path]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: exactly one drain reservoir required, at index 0\n"
+        )
 
     def test_debug_log_names_every_stage(self, matvec_problem, tmp_path, caplog):
         out = tmp_path / "quiet.json"
@@ -458,7 +492,10 @@ class TestTransient:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("time,occ_mode0")
         assert len(lines) == 6
-        assert "settling time:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("settling time: ") and err.count("\n") == 1
+        value = err.removeprefix("settling time: ").rstrip("\n")
+        assert value == repr(float(value))
 
     def test_sweep(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -515,6 +552,47 @@ class TestCircuit:
         assert main(["circuit", path]) == EXIT_VALIDATION
 
 
+    @pytest.mark.parametrize(
+        "command, problem",
+        [
+            ("circuit", OVERFLOW_PROBLEM),
+            ("transient", OVERFLOW_PROBLEM),
+            ("circuit", UNDERFLOW_PROBLEM),
+        ],
+        ids=["circuit-overflow", "transient-overflow", "circuit-underflow"],
+    )
+    def test_non_finite_output_is_numerical_failure(
+        self, tmp_path, capsys, command, problem
+    ):
+        path = write_doc(tmp_path, "problem.json", problem)
+        out = tmp_path / "out.txt"
+        with pytest.warns(RuntimeWarning):
+            code = main([command, path, "--output", str(out)])
+        assert code == EXIT_NUMERICAL
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical failure: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["compile", "run", "circuit", "transient"])
+    def test_overflowing_base_frequency_is_validation_error(
+        self, tmp_path, capsys, command
+    ):
+        problem = {
+            "kind": "matvec",
+            "matrix": [[0.5, 0.5], [0.2, 0.8]],
+            "vector": [1.0, 2.0],
+            "settings": {"base_frequency": 1e308},
+        }
+        path = write_doc(tmp_path, "huge.json", problem)
+        with pytest.warns(RuntimeWarning):
+            assert main([command, path]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+
 class TestValidate:
     def test_passes(self, capsys):
         assert main(["validate", "--cases", "20", "--seed", "7"]) == 0
@@ -527,9 +605,8 @@ class TestRoundTrips:
 
         config = random_config(rng, 8, 32)
         again = config_from_dict(config_to_dict(config))
-        assert again.modes == config.modes
-        assert again.reservoirs == config.reservoirs
-        np.testing.assert_array_equal(again.couplings, config.couplings)
+        for name in ("frequencies", "temperatures", "couplings", "group_ids"):
+            np.testing.assert_array_equal(getattr(again, name), getattr(config, name))
 
     def test_program_dict_round_trip(self):
         doc = compile_problem(

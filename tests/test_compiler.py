@@ -148,7 +148,7 @@ class TestEncodeMatvec:
         assert group.spread > 0.0
         base_occ = bose_occupancy(group.base_frequency, program.config.temperatures[1:])
         for kappa in group.mode_indices:
-            w = program.config.modes[kappa].frequency
+            w = program.config.frequencies[kappa]
             occ = bose_occupancy(w, program.config.temperatures[1:])
             assert np.all(np.abs(occ - base_occ) <= 1e-3 * base_occ * (1 + 1e-9))
 

@@ -95,9 +95,7 @@ class TestSettlingTime:
     def test_doubling_rates_halves_time(self):
         config = occupancy_config(1.0, [1.0, 0.5], [[0.1, 1.0, 0.4]])
         fast = physics.DeviceConfig(
-            modes=config.modes,
-            reservoirs=config.reservoirs,
-            couplings=config.couplings * 2.0,
+            config.frequencies, config.temperatures, config.couplings * 2.0
         )
         init = np.array([0.0])
         assert settling_time(fast, init, 1e-6) == pytest.approx(

@@ -45,8 +45,6 @@ from thermoflow.compiler import EncodeSettings
 from thermoflow.physics import (
     T_FLOOR,
     DeviceConfig,
-    Mode,
-    Reservoir,
     bose_occupancy,
     inverse_temperature,
 )
@@ -125,7 +123,7 @@ def ref_decode(program, flows, mode_indices):
     for kappa in mode_indices:
         g0 = program.config.couplings[kappa, 0]
         j0 = flows.per_channel[kappa, 0]
-        w = program.config.modes[kappa].frequency
+        w = program.config.frequencies[kappa]
         values.append(program.row_scales[kappa] * (-j0 / (w * g0)))
         raw.append(j0)
     return np.array(values), np.array(raw)
@@ -356,9 +354,8 @@ def crossbar_configs():
         configs.append(compiler.encode_matvec(a, b).config)
     # mode 0 couples to the drain alone and carries no current: passthrough
     # under the max policy, open under a fixed bar
-    reservoirs = (Reservoir(T_FLOOR, is_drain=True), Reservoir(1.0), Reservoir(2.0))
     couplings = [[1.0, 0.0, 0.0], [1.0, 1.0, 0.5]]
-    configs.append(DeviceConfig((Mode(1.0), Mode(2.0)), reservoirs, couplings))
+    configs.append(DeviceConfig([1.0, 2.0], [T_FLOOR, 1.0, 2.0], couplings))
     return configs
 
 

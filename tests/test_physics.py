@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 
 from conftest import occupancy_config, random_config
 from thermoflow import physics
+from thermoflow.cli import config_from_dict, config_to_dict
 from thermoflow.physics import (
     T_FLOOR,
     ConfigError,
     DeviceConfig,
-    Mode,
-    Reservoir,
     bose_occupancy,
     coupling_weights,
     drain_flow_approx,
@@ -80,45 +79,85 @@ class TestInverseTemperature:
         )
 
 
+def raw_config(drains):
+    """Raw config document with one mode and one reservoir per drain flag."""
+    return {
+        "modes": [{"frequency": 1.0}],
+        "reservoirs": [{"temperature": 1.0, "is_drain": d} for d in drains],
+        "couplings": [[1.0] * len(drains)],
+    }
+
+
 class TestConfigValidation:
     def test_drain_must_be_index_zero(self):
-        with pytest.raises(ConfigError):
-            DeviceConfig(
-                modes=(Mode(1.0),),
-                reservoirs=(Reservoir(1.0), Reservoir(T_FLOOR, is_drain=True)),
-                couplings=np.ones((1, 2)),
-            )
+        with pytest.raises(ConfigError, match="at index 0"):
+            config_from_dict(raw_config([False, True]))
 
     def test_exactly_one_drain(self):
-        with pytest.raises(ConfigError):
-            DeviceConfig(
-                modes=(Mode(1.0),),
-                reservoirs=(
-                    Reservoir(T_FLOOR, is_drain=True),
-                    Reservoir(T_FLOOR, is_drain=True),
-                ),
-                couplings=np.ones((1, 2)),
-            )
+        with pytest.raises(ConfigError, match="exactly one drain"):
+            config_from_dict(raw_config([True, True]))
+        with pytest.raises(ConfigError, match="exactly one drain"):
+            config_from_dict(raw_config([False, False]))
+
+    def test_drain_is_reservoir_zero(self):
+        config = config_from_dict(raw_config([True, False]))
+        assert config_to_dict(config)["reservoirs"] == [
+            {"temperature": 1.0, "is_drain": True},
+            {"temperature": 1.0, "is_drain": False},
+        ]
 
     def test_temperature_floor(self):
-        with pytest.raises(ConfigError):
-            Reservoir(temperature=0.0)
+        with pytest.raises(ConfigError, match="below floor"):
+            DeviceConfig([1.0], [T_FLOOR, 0.0], np.ones((1, 2)))
 
     def test_no_isolated_modes(self):
         with pytest.raises(ConfigError):
-            DeviceConfig(
-                modes=(Mode(1.0),),
-                reservoirs=(Reservoir(T_FLOOR, is_drain=True), Reservoir(1.0)),
-                couplings=np.zeros((1, 2)),
-            )
+            DeviceConfig([1.0], [T_FLOOR, 1.0], np.zeros((1, 2)))
 
     def test_negative_couplings_rejected(self):
         with pytest.raises(ConfigError):
-            DeviceConfig(
-                modes=(Mode(1.0),),
-                reservoirs=(Reservoir(T_FLOOR, is_drain=True), Reservoir(1.0)),
-                couplings=np.array([[1.0, -1.0]]),
-            )
+            DeviceConfig([1.0], [T_FLOOR, 1.0], np.array([[1.0, -1.0]]))
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_frequency_finite_and_positive(self, bad):
+        with pytest.raises(ConfigError, match="mode frequency"):
+            DeviceConfig([1.0, bad], [T_FLOOR, 1.0], np.ones((2, 2)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_temperature_finite(self, bad):
+        with pytest.raises(ConfigError, match="not finite"):
+            DeviceConfig([1.0], [T_FLOOR, bad], np.ones((1, 2)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_coupling_finite(self, bad):
+        with pytest.raises(ConfigError, match="finite and non-negative"):
+            DeviceConfig([1.0], [T_FLOOR, 1.0], np.array([[1.0, bad]]))
+
+    @pytest.mark.parametrize(
+        "frequencies, temperatures, couplings, group_ids",
+        [
+            ([1.0, 2.0], [T_FLOOR, 1.0], np.ones((1, 2)), None),
+            ([1.0], [T_FLOOR, 1.0], np.ones((1, 3)), None),
+            ([[1.0]], [T_FLOOR, 1.0], np.ones((1, 2)), None),
+            ([1.0], [], np.ones((1, 0)), None),
+            ([1.0], [T_FLOOR, 1.0], np.ones((1, 2)), [1, 2]),
+        ],
+        ids=["modes", "reservoirs", "2-D-frequencies", "no-reservoirs", "group-ids"],
+    )
+    def test_shapes_must_agree(self, frequencies, temperatures, couplings, group_ids):
+        with pytest.raises(ConfigError):
+            DeviceConfig(frequencies, temperatures, couplings, group_ids)
+
+    def test_holds_read_only_arrays(self):
+        frequencies = np.array([1.0, 2.0])
+        config = DeviceConfig(frequencies, [T_FLOOR, 1.0], np.ones((2, 2)))
+        frequencies[0] = 5.0  # the config holds its own copy
+        np.testing.assert_array_equal(config.frequencies, [1.0, 2.0])
+        np.testing.assert_array_equal(config.group_ids, [1, 1])
+        assert config.group_ids.dtype.kind == "i"
+        for name in ("frequencies", "temperatures", "couplings", "group_ids"):
+            with pytest.raises(ValueError):
+                getattr(config, name)[0] = 0
 
 
 class TestCouplingWeights:
@@ -146,15 +185,7 @@ class TestWeightedOccupancy:
 
     def test_equal_temperatures(self):
         t = inverse_temperature(1.0, 0.7)
-        config = DeviceConfig(
-            modes=(Mode(1.0),),
-            reservoirs=(
-                Reservoir(t, is_drain=True),
-                Reservoir(t),
-                Reservoir(t),
-            ),
-            couplings=np.array([[0.3, 1.2, 0.5]]),
-        )
+        config = DeviceConfig([1.0], [t, t, t], np.array([[0.3, 1.2, 0.5]]))
         assert weighted_occupancy(config, 0) == pytest.approx(0.7, rel=1e-12)
 
     def test_weighted_sum(self):
@@ -185,9 +216,7 @@ class TestStationaryFlows:
     def test_equilibrium_flows_vanish(self):
         t = inverse_temperature(1.0, 1.0)
         config = DeviceConfig(
-            modes=(Mode(1.0), Mode(2.0)),
-            reservoirs=(Reservoir(t, is_drain=True), Reservoir(t), Reservoir(t)),
-            couplings=np.array([[1.0, 0.5, 2.0], [0.1, 0.2, 0.3]]),
+            [1.0, 2.0], [t, t, t], np.array([[1.0, 0.5, 2.0], [0.1, 0.2, 0.3]])
         )
         flows = stationary_flows(config)
         np.testing.assert_allclose(flows.per_channel, 0.0, atol=1e-18)
@@ -224,9 +253,7 @@ class TestStationaryFlows:
         config = random_config(rng, max_modes=3, max_reservoirs=6)
         flows = stationary_flows(config)
         scaled = DeviceConfig(
-            modes=config.modes,
-            reservoirs=config.reservoirs,
-            couplings=config.couplings * 3.5,
+            config.frequencies, config.temperatures, config.couplings * 3.5
         )
         sflows = stationary_flows(scaled)
         for kappa in range(config.n_modes):
@@ -280,11 +307,7 @@ class TestDrainFlowApprox:
         # drain occupancy 1e-3, drain weight 1e-2
         t_drain = inverse_temperature(1.0, 1e-3)
         t_hot = inverse_temperature(1.0, 1.0)
-        config = DeviceConfig(
-            modes=(Mode(1.0),),
-            reservoirs=(Reservoir(t_drain, is_drain=True), Reservoir(t_hot)),
-            couplings=np.array([[0.01, 0.99]]),
-        )
+        config = DeviceConfig([1.0], [t_drain, t_hot], np.array([[0.01, 0.99]]))
         result = drain_flow_approx(config, 0)
         assert abs(result.approx - result.exact) / abs(result.exact) < 2e-3
 
@@ -292,11 +315,7 @@ class TestDrainFlowApprox:
 class TestEntropyProduction:
     def test_equilibrium_is_zero(self):
         t = inverse_temperature(1.0, 1.0)
-        config = DeviceConfig(
-            modes=(Mode(1.0),),
-            reservoirs=(Reservoir(t, is_drain=True), Reservoir(t)),
-            couplings=np.ones((1, 2)),
-        )
+        config = DeviceConfig([1.0], [t, t], np.ones((1, 2)))
         flows = stationary_flows(config)
         assert entropy_production_rate(config, flows) == pytest.approx(0.0, abs=1e-15)
 
