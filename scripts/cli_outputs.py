@@ -15,8 +15,11 @@ compiled document, `circuit` under the max and `fixed:20.0` policies, and
 256x256, with and without settings overrides, a raw config, and invalid
 inputs (non-finite numbers, an overflowing base frequency, compiled documents
 with mistyped fields, raw configs with a non-finite field, the drain at index
-1, flows that overflow or crossbar conductances that underflow). Each command
-runs in its own interpreter, so exit codes and stderr are those a shell sees.
+1, flows that overflow or crossbar conductances that underflow). The case
+`other-commands` runs `validate`, the `transient` sweep, and one command for
+each flag that a command does not take, which argparse refuses with exit 2.
+Each command runs in its own interpreter, so exit codes and stderr are those a
+shell sees.
 """
 
 from __future__ import annotations
@@ -36,6 +39,17 @@ COMMANDS = {
     "circuit-max": ["circuit", "--policy", "max"],
     "circuit-fixed": ["circuit", "--policy", "fixed:20.0"],
     "transient": ["transient", "--samples", "40"],
+}
+
+# Commands of the other-commands case; problem.json there is a small matvec.
+OTHER_COMMANDS = {
+    "validate": ["validate", "--cases", "200", "--seed", "7"],
+    "transient-sweep": ["transient", "--sweep-n", "2..64"],
+    "compile-oracle": ["compile", "problem.json", "--oracle"],
+    "circuit-format": ["circuit", "problem.json", "--format", "spice"],
+    "circuit-no-timing": ["circuit", "problem.json", "--no-timing"],
+    "transient-seed": ["transient", "--sweep-n", "2..64", "--seed", "1"],
+    "validate-output": ["validate", "--cases", "5", "--output", "validate.txt"],
 }
 
 SETTINGS = {"drain_ratio": 1e-3, "group_tol": 1e-2, "total_rate": 2.5}
@@ -183,6 +197,12 @@ def main() -> int:
                 compiled.write_text(proc.stdout)
                 _run(["run", "--no-timing", compiled.name], env, out, "run-compiled")
         print(case, file=sys.stderr)
+    out = root / "other-commands"
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "problem.json").write_text(json.dumps(_problem("matvec", 5, 4, 99, False)))
+    for name, argv in OTHER_COMMANDS.items():
+        _run(argv, env, out, name)
+    print(out.name, file=sys.stderr)
     return 0
 
 

@@ -21,7 +21,8 @@ import numpy as np
 from thermoflow.physics import (
     ConfigError,
     DeviceConfig,
-    occupancy_table,
+    FlowReport,
+    bose_occupancy,
     stationary_flows,
 )
 
@@ -71,6 +72,7 @@ class CrossbarCircuit:
     series_resistors: np.ndarray  # (K, n+1), r[kappa][j]
     branch_status: np.ndarray  # (K, n+1), status labels
     currents: np.ndarray  # (K, n+1), I[kappa][j] = J[kappa][j]/w_kappa
+    flows: FlowReport  # the stationary flows J the currents were mapped from
 
 
 def star_node_potential(circuit: StarCircuit) -> float:
@@ -92,7 +94,7 @@ def oqs_to_star(config: DeviceConfig, mode_index: int) -> StarCircuit:
     labels name the included reservoirs.
     """
     row = config.couplings[mode_index]
-    occ = occupancy_table(config)[mode_index]
+    occ = bose_occupancy(config.frequencies[mode_index], config.temperatures)
     included = np.flatnonzero(row > 0.0)
     return StarCircuit(
         resistances=1.0 / row[included],
@@ -181,6 +183,7 @@ def build_crossbar(
         series_resistors=r,
         branch_status=status,
         currents=currents,
+        flows=flows,
     )
 
 
@@ -282,11 +285,9 @@ def parse_netlist(text: str):
     return header_hash, elements
 
 
-def export_netlist(circuit, fmt: str = "spice") -> str:
+def export_netlist(circuit) -> str:
     """Deterministic netlist text for a star or crossbar circuit; a NaN or
     infinite element value raises FloatingPointError."""
-    if fmt != "spice":
-        raise ConfigError(f"unsupported netlist format: {fmt!r}")
     if isinstance(circuit, StarCircuit):
         elements = _star_elements(circuit)
     elif isinstance(circuit, CrossbarCircuit):

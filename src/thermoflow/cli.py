@@ -357,10 +357,7 @@ def run_compiled(doc: dict, with_oracle: bool, problem_doc: dict | None) -> dict
         report["config_hash"] = config_hash(report["config"])
         if raw:
             return report
-        if program.kind == "scalar":
-            result = compiler.decode_scalar_product(program, flows)
-        else:
-            result = compiler.decode_matvec(program, flows)
+        result = compiler.decode_matvec(program, flows)  # a scalar is a one-mode matvec
 
     elif doc["type"] == "compiled_signed":
         decoded, tables, hashes = [], {}, {}
@@ -564,8 +561,9 @@ def cmd_transient(args) -> int:
     return 0
 
 
-def _sweep_settling_time(n: int, rel_tol: float, drain_ratio: float = 1e-4) -> float:
+def _sweep_settling_time(n: int, rel_tol: float) -> float:
     """Fixed total rate per mode, weights redistributed over n reservoirs."""
+    drain_ratio = EncodeSettings.drain_ratio
     t_hot = physics.inverse_temperature(1.0, 1.0)
     row = np.empty(n + 1)
     row[1:] = (1.0 / (1.0 + drain_ratio)) / n
@@ -588,12 +586,11 @@ def _parse_policy(spec: str):
 def cmd_circuit(args) -> int:
     config = _compiled_config(load_document(args.problem))
     crossbar = build_crossbar(config, policy=_parse_policy(args.policy))
-    flows = physics.stationary_flows(config)
     recovered = crossbar_currents(crossbar) * config.frequencies[:, None]
-    residual = float(np.max(np.abs(recovered - flows.per_channel)))
+    residual = float(np.max(np.abs(recovered - crossbar.flows.per_channel)))
     if not math.isfinite(residual):
         raise FloatingPointError("NaN or Infinity in the crossbar flows or values")
-    _emit(export_netlist(crossbar, fmt=args.format), args.output)
+    _emit(export_netlist(crossbar), args.output)
     print(f"max |I*w - J| residual: {residual:.3e}", file=sys.stderr)
     return 0
 
@@ -606,7 +603,8 @@ def cmd_validate(args) -> int:
     worst_analogy = 0.0
     for _ in range(args.cases):
         config = random_config(rng, 4, 6)
-        flows = physics.stationary_flows(config)
+        crossbar = build_crossbar(config)
+        flows = crossbar.flows
         pairwise = physics.stationary_flows_pairwise(config)
         scale = np.abs(flows.per_reservoir).sum() or 1.0
         worst_conservation = max(
@@ -617,7 +615,6 @@ def cmd_validate(args) -> int:
             worst_form,
             float(np.max(np.abs(flows.per_channel - pairwise.per_channel))) / fscale,
         )
-        crossbar = build_crossbar(config)
         recovered = crossbar_currents(crossbar) * config.frequencies[:, None]
         worst_analogy = max(
             worst_analogy,
@@ -662,27 +659,26 @@ def build_parser() -> argparse.ArgumentParser:
         prog="thermoflow",
         description="Thermodynamic linear-algebra coprocessor simulator",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="randomized-suite seed")
-    common.add_argument(
-        "--oracle", action="store_true", help="include direct linear-algebra oracle"
-    )
-    common.add_argument(
-        "--no-timing", action="store_true", help="omit timing metadata from reports"
-    )
-    common.add_argument("--output", default=None, help="write output to this path")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", default=None, help="write output to this path")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("compile", parents=[common], help="problem -> compiled config")
+    p = sub.add_parser("compile", parents=[output], help="problem -> compiled config")
     p.add_argument("problem")
     p.set_defaults(func=cmd_compile)
 
-    p = sub.add_parser("run", parents=[common], help="full encode/flows/decode pipeline")
+    p = sub.add_parser("run", parents=[output], help="full encode/flows/decode pipeline")
     p.add_argument("problem", help="problem or compiled document")
+    p.add_argument(
+        "--oracle", action="store_true", help="include direct linear-algebra oracle"
+    )
+    p.add_argument(
+        "--no-timing", action="store_true", help="omit timing metadata from reports"
+    )
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("transient", parents=[common], help="relaxation trace as CSV")
+    p = sub.add_parser("transient", parents=[output], help="relaxation trace as CSV")
     p.add_argument("problem", nargs="?", help="problem or compiled document")
     p.add_argument("--t-end", type=float, default=None)
     p.add_argument("--samples", type=int, default=200)
@@ -692,14 +688,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_transient)
 
-    p = sub.add_parser("circuit", parents=[common], help="crossbar netlist export")
+    p = sub.add_parser("circuit", parents=[output], help="crossbar netlist export")
     p.add_argument("problem", help="problem or compiled document")
     p.add_argument("--policy", default="max", help="max | grouped | fixed:<value>")
-    p.add_argument("--format", default="spice")
     p.set_defaults(func=cmd_circuit)
 
-    p = sub.add_parser("validate", parents=[common], help="randomized self-checks")
+    p = sub.add_parser("validate", help="randomized self-checks")
     p.add_argument("--cases", type=int, default=200)
+    p.add_argument("--seed", type=int, default=0, help="randomized-suite seed")
     p.set_defaults(func=cmd_validate)
 
     return parser
@@ -711,15 +707,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError,) as exc:
+    except (InputError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except SolvabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVABILITY
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except FloatingPointError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -136,38 +136,11 @@ class FlowReport:
     occupancies: np.ndarray
 
 
-@dataclass(frozen=True)
-class DrainFlowApprox:
-    """Cold-drain approximation of one mode's drain flow next to the exact value."""
-
-    approx: float
-    exact: float
-    abs_error: float
-
-
 def occupancy_table(config: DeviceConfig) -> np.ndarray:
     """(K, n+1) table n_j(w_kappa, T_j) of reservoir occupancies at mode frequencies."""
     return bose_occupancy(
         config.frequencies[:, None], config.temperatures[None, :]
     )
-
-
-def coupling_weights(config: DeviceConfig, mode_index: int) -> np.ndarray:
-    """Normalized coupling weights p[kappa][j] = gamma[kappa][j] / sum_m gamma[kappa][m]."""
-    row = config.couplings[mode_index]
-    total = row.sum()
-    if total <= 0.0:
-        raise ConfigError(f"mode {mode_index} has an all-zero coupling row")
-    return row / total
-
-
-def weighted_occupancy(config: DeviceConfig, mode_index: int) -> float:
-    """Coupling-weighted reservoir occupancy at the mode frequency; this is the
-    mode's stationary occupancy and stays between the min and max reservoir
-    occupancies."""
-    p = coupling_weights(config, mode_index)
-    occ = bose_occupancy(config.frequencies[mode_index], config.temperatures)
-    return float(p @ occ)
 
 
 def stationary_state(config: DeviceConfig):
@@ -186,14 +159,12 @@ def stationary_flows(config: DeviceConfig) -> FlowReport:
     """Stationary energy flows J[kappa][j] = w_kappa gamma[kappa][j] (n_j - n_tilde).
 
     Per-reservoir totals sum the channels; sum_j J_j vanishes identically (the
-    weighted occupancy is exactly the coupling-weighted mean of the n_j).
+    stationary occupancy n_tilde is the coupling-weighted mean of the n_j).
     """
     occ, _, n_tilde = stationary_state(config)
     g = config.couplings
     per_channel = config.frequencies[:, None] * g * (occ - n_tilde[:, None])
-    per_reservoir = per_channel.sum(axis=0)
-    sigma = entropy_rate_from_totals(config, per_reservoir)
-    return FlowReport(per_channel, per_reservoir, sigma, occ)
+    return _flow_report(config, per_channel, occ)
 
 
 def stationary_flows_pairwise(config: DeviceConfig) -> FlowReport:
@@ -209,32 +180,12 @@ def stationary_flows_pairwise(config: DeviceConfig) -> FlowReport:
         diff = occ[kappa][:, None] - occ[kappa][None, :]  # (j, q)
         pair = g[kappa][:, None] * g[kappa][None, :] / totals[kappa]
         per_channel[kappa] = config.frequencies[kappa] * (pair * diff).sum(axis=1)
+    return _flow_report(config, per_channel, occ)
+
+
+def _flow_report(config: DeviceConfig, per_channel, occ) -> FlowReport:
+    """Per-reservoir totals and the entropy production rate
+    sigma = -sum_j J_j / T_j (non-negative in the stationary state)."""
     per_reservoir = per_channel.sum(axis=0)
-    sigma = entropy_rate_from_totals(config, per_reservoir)
+    sigma = float(-(per_reservoir / config.temperatures).sum())
     return FlowReport(per_channel, per_reservoir, sigma, occ)
-
-
-def drain_flow_approx(config: DeviceConfig, mode_index: int) -> DrainFlowApprox:
-    """Cold-drain form of mode kappa's drain flow,
-    -w gamma[kappa][0] sum_{q>=1} p[kappa][q] n_q, next to the exact channel flow.
-
-    The absolute discrepancy is the encoding error from the drain's residual
-    occupancy; it vanishes when the drain occupancy is exactly 0.
-    """
-    p = coupling_weights(config, mode_index)
-    w = float(config.frequencies[mode_index])
-    occ = bose_occupancy(w, config.temperatures)
-    approx = -w * config.couplings[mode_index, 0] * float(p[1:] @ occ[1:])
-    n_tilde = float(p @ occ)
-    exact = w * config.couplings[mode_index, 0] * (occ[0] - n_tilde)
-    return DrainFlowApprox(approx, exact, abs(approx - exact))
-
-
-def entropy_rate_from_totals(config: DeviceConfig, per_reservoir: np.ndarray) -> float:
-    """sigma = -sum_j J_j / T_j; non-negative in the stationary state."""
-    return float(-(per_reservoir / config.temperatures).sum())
-
-
-def entropy_production_rate(config: DeviceConfig, flows: FlowReport) -> float:
-    """Entropy production rate of a flow report (second law: >= 0 up to roundoff)."""
-    return entropy_rate_from_totals(config, flows.per_reservoir)

@@ -5,6 +5,7 @@ from thermoflow.cli import random_config  # noqa: F401  (imported by the test mo
 from thermoflow.physics import (
     T_FLOOR,
     DeviceConfig,
+    bose_occupancy,
     inverse_temperature,
 )
 
@@ -19,6 +20,19 @@ def occupancy_config(frequency, occupancies, couplings):
     couplings = np.asarray(couplings, dtype=float)
     frequencies = np.full(couplings.shape[0], float(frequency))
     return DeviceConfig(frequencies, temperatures, couplings)
+
+
+def coupling_weights(config, kappa):
+    """Reference normalized coupling row p[kappa][j] = gamma[kappa][j] / sum_m gamma[kappa][m]."""
+    row = config.couplings[kappa]
+    return row / row.sum()
+
+
+def weighted_occupancy(config, kappa):
+    """Reference stationary occupancy of mode kappa, computed one mode at a time:
+    the coupling-weighted mean p @ n_j(w_kappa, T_j) of the reservoir occupancies."""
+    occ = bose_occupancy(config.frequencies[kappa], config.temperatures)
+    return float(coupling_weights(config, kappa) @ occ)
 
 
 @pytest.fixture

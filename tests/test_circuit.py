@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import occupancy_config, random_config
+from conftest import occupancy_config, random_config, weighted_occupancy
 from thermoflow.circuit import (
     NEGATIVE,
     PASSTHROUGH,
@@ -25,7 +25,6 @@ from thermoflow.physics import (
     DeviceConfig,
     inverse_temperature,
     stationary_flows,
-    weighted_occupancy,
 )
 
 GOLDEN = Path(__file__).parent / "data" / "golden_crossbar_2x2.cir"
@@ -220,8 +219,3 @@ class TestNetlist:
         with pytest.warns(RuntimeWarning):
             with pytest.raises(FloatingPointError):
                 export_netlist(build_crossbar(config))
-
-    def test_unsupported_format(self):
-        circuit = StarCircuit(np.array([1.0]), np.array([0.0]))
-        with pytest.raises(ConfigError):
-            export_netlist(circuit, fmt="verilog")

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from thermoflow import circuit, physics
 from thermoflow.cli import (
     EXIT_NUMERICAL,
     EXIT_SOLVABILITY,
@@ -540,9 +541,6 @@ class TestCircuit:
     def test_unknown_policy(self, golden_problem):
         assert main(["circuit", golden_problem, "--policy", "best"]) == EXIT_VALIDATION
 
-    def test_unknown_format(self, golden_problem):
-        assert main(["circuit", golden_problem, "--format", "verilog"]) == EXIT_VALIDATION
-
     def test_signed_problem_rejected(self, tmp_path):
         path = write_doc(
             tmp_path,
@@ -550,6 +548,20 @@ class TestCircuit:
             {"kind": "signed_matvec", "matrix": [[1.0, -1.0]], "vector": [1.0, 1.0]},
         )
         assert main(["circuit", path]) == EXIT_VALIDATION
+
+    def test_one_flow_solve_per_command(self, golden_problem, monkeypatch):
+        calls = []
+        solve = physics.stationary_flows
+
+        def counted(config):
+            calls.append(config)
+            return solve(config)
+
+        # circuit imports stationary_flows by name, so both bindings are wrapped
+        monkeypatch.setattr(physics, "stationary_flows", counted)
+        monkeypatch.setattr(circuit, "stationary_flows", counted)
+        assert main(["circuit", golden_problem]) == 0
+        assert len(calls) == 1
 
 
     @pytest.mark.parametrize(
@@ -597,6 +609,33 @@ class TestValidate:
     def test_passes(self, capsys):
         assert main(["validate", "--cases", "20", "--seed", "7"]) == 0
         assert "validate: PASS" in capsys.readouterr().out
+
+
+class TestFlags:
+    """Each command takes only the flags it reads; argparse refuses the rest."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compile", "problem.json", "--oracle"],
+            ["circuit", "problem.json", "--format", "spice"],
+            ["circuit", "problem.json", "--no-timing"],
+            ["transient", "--seed", "1"],
+            ["validate", "--output", "x"],
+        ],
+        ids=[
+            "compile-oracle",
+            "circuit-format",
+            "circuit-no-timing",
+            "transient-seed",
+            "validate-output",
+        ],
+    )
+    def test_unread_flag_refused(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_VALIDATION
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestRoundTrips:

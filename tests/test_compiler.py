@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import coupling_weights
 from thermoflow import physics
 from thermoflow.compiler import (
     combine_signed,
@@ -23,7 +24,6 @@ from thermoflow.physics import (
     T_FLOOR,
     ConfigError,
     bose_occupancy,
-    coupling_weights,
     inverse_temperature,
     stationary_flows,
 )

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import occupancy_config, random_config
+from conftest import occupancy_config, random_config, weighted_occupancy
 from thermoflow import physics
 from thermoflow.dynamics import (
     evolve,
@@ -11,7 +11,7 @@ from thermoflow.dynamics import (
     settling_time,
     stationary_window,
 )
-from thermoflow.physics import ConfigError, stationary_flows, weighted_occupancy
+from thermoflow.physics import ConfigError, stationary_flows
 
 
 def fixed_points(config):

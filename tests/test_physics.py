@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import occupancy_config, random_config
+from conftest import occupancy_config, random_config, weighted_occupancy
 from thermoflow import physics
 from thermoflow.cli import config_from_dict, config_to_dict
 from thermoflow.physics import (
@@ -13,13 +13,9 @@ from thermoflow.physics import (
     ConfigError,
     DeviceConfig,
     bose_occupancy,
-    coupling_weights,
-    drain_flow_approx,
-    entropy_production_rate,
     inverse_temperature,
     stationary_flows,
     stationary_flows_pairwise,
-    weighted_occupancy,
 )
 
 
@@ -160,18 +156,29 @@ class TestConfigValidation:
                 getattr(config, name)[0] = 0
 
 
+def normalized_couplings(config):
+    """Mode 0's couplings normalized by the total rate stationary_state gives."""
+    _, rates, _ = physics.stationary_state(config)
+    return config.couplings[0] / rates[0]
+
+
+def stationary_occupancy(config):
+    """Mode 0's stationary occupancy n_tilde from stationary_state."""
+    return physics.stationary_state(config)[2][0]
+
+
 class TestCouplingWeights:
     def test_symmetric(self):
         config = occupancy_config(1.0, [1.0], [[1.0, 1.0]])
-        np.testing.assert_allclose(coupling_weights(config, 0), [0.5, 0.5])
+        np.testing.assert_allclose(normalized_couplings(config), [0.5, 0.5])
 
     def test_direct_normalization(self):
         config = occupancy_config(1.0, [1.0, 1.0], [[0.0, 3.0, 1.0]])
-        np.testing.assert_allclose(coupling_weights(config, 0), [0.0, 0.75, 0.25])
+        np.testing.assert_allclose(normalized_couplings(config), [0.0, 0.75, 0.25])
 
     def test_rational_normalization(self):
         config = occupancy_config(1.0, [1.0, 1.0], [[1e-4, 0.3, 0.7]])
-        p = coupling_weights(config, 0)
+        p = normalized_couplings(config)
         np.testing.assert_allclose(
             p, [9.99900009999e-5, 0.299970003, 0.699930006999], rtol=1e-11
         )
@@ -181,25 +188,24 @@ class TestCouplingWeights:
 class TestWeightedOccupancy:
     def test_arithmetic_mean(self):
         config = occupancy_config(1.0, [0.2, 0.4], [[0.0, 1.0, 1.0]])
-        assert weighted_occupancy(config, 0) == pytest.approx(0.3, rel=1e-12)
+        assert stationary_occupancy(config) == pytest.approx(0.3, rel=1e-12)
 
     def test_equal_temperatures(self):
         t = inverse_temperature(1.0, 0.7)
         config = DeviceConfig([1.0], [t, t, t], np.array([[0.3, 1.2, 0.5]]))
-        assert weighted_occupancy(config, 0) == pytest.approx(0.7, rel=1e-12)
+        assert stationary_occupancy(config) == pytest.approx(0.7, rel=1e-12)
 
     def test_weighted_sum(self):
         config = occupancy_config(1.0, [1.0], [[1.0, 9.0]])
         # p = (0.1, 0.9), occupancies (0, 1)
-        assert weighted_occupancy(config, 0) == pytest.approx(0.9, rel=1e-12)
+        assert stationary_occupancy(config) == pytest.approx(0.9, rel=1e-12)
 
     def test_bounds(self, rng):
         for _ in range(50):
             config = random_config(rng, max_modes=4, max_reservoirs=8)
-            occ = physics.occupancy_table(config)
-            for kappa in range(config.n_modes):
-                n_tilde = weighted_occupancy(config, kappa)
-                assert occ[kappa].min() - 1e-15 <= n_tilde <= occ[kappa].max() + 1e-15
+            occ, _, stationary = physics.stationary_state(config)
+            assert np.all(occ.min(axis=1) - 1e-15 <= stationary)
+            assert np.all(stationary <= occ.max(axis=1) + 1e-15)
 
 
 class TestStationaryFlows:
@@ -210,7 +216,7 @@ class TestStationaryFlows:
         np.testing.assert_array_equal(rates, config.couplings.sum(axis=1))
         for kappa in range(config.n_modes):
             assert n_tilde[kappa] == pytest.approx(
-                physics.weighted_occupancy(config, kappa), rel=1e-14
+                weighted_occupancy(config, kappa), rel=1e-14
             )
 
     def test_equilibrium_flows_vanish(self):
@@ -295,34 +301,41 @@ class TestPairwiseForm:
 
 
 class TestDrainFlowApprox:
+    """The cold-drain form -w gamma_0 sum_{q>=1} p_q n_q of a mode's drain flow
+    against the exact channel flow."""
+
     def test_exact_when_drain_empty(self):
         # drain occupancy is exactly 0 at the temperature floor
         config = occupancy_config(2.0, [1.0, 0.5], [[1.0, 2.0, 1.0]])
-        result = drain_flow_approx(config, 0)
-        assert result.approx == pytest.approx(-1.25, rel=1e-12)
-        assert result.exact == pytest.approx(-1.25, rel=1e-12)
-        assert result.abs_error == 0.0
+        exact = stationary_flows(config).per_channel[0, 0]
+        w, gamma = 2.0, np.array([1.0, 2.0, 1.0])
+        p, occ = gamma / gamma.sum(), bose_occupancy(w, config.temperatures)
+        approx = -w * gamma[0] * float(p[1:] @ occ[1:])
+        assert approx == pytest.approx(-1.25, rel=1e-12)
+        assert exact == pytest.approx(-1.25, rel=1e-12)
+        assert approx == exact
 
     def test_error_budget_with_warm_drain(self):
         # drain occupancy 1e-3, drain weight 1e-2
         t_drain = inverse_temperature(1.0, 1e-3)
         t_hot = inverse_temperature(1.0, 1.0)
         config = DeviceConfig([1.0], [t_drain, t_hot], np.array([[0.01, 0.99]]))
-        result = drain_flow_approx(config, 0)
-        assert abs(result.approx - result.exact) / abs(result.exact) < 2e-3
+        exact = stationary_flows(config).per_channel[0, 0]
+        w, gamma = 1.0, np.array([0.01, 0.99])
+        p, occ = gamma / gamma.sum(), bose_occupancy(w, config.temperatures)
+        approx = -w * gamma[0] * float(p[1:] @ occ[1:])
+        assert 0.0 < abs(approx - exact) / abs(exact) < 2e-3
 
 
 class TestEntropyProduction:
     def test_equilibrium_is_zero(self):
         t = inverse_temperature(1.0, 1.0)
         config = DeviceConfig([1.0], [t, t], np.ones((1, 2)))
-        flows = stationary_flows(config)
-        assert entropy_production_rate(config, flows) == pytest.approx(0.0, abs=1e-15)
+        assert stationary_flows(config).entropy_rate == pytest.approx(0.0, abs=1e-15)
 
     def test_positive_out_of_equilibrium(self):
         config = occupancy_config(1.0, [1.0], [[1.0, 1.0]])
-        flows = stationary_flows(config)
-        assert entropy_production_rate(config, flows) > 0.0
+        assert stationary_flows(config).entropy_rate > 0.0
 
     def test_second_law_randomized(self, rng):
         for _ in range(1000):
