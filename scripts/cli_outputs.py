@@ -10,12 +10,16 @@ moved:
     diff -r /tmp/before /tmp/after
 
 Commands: `compile`, `run --oracle --no-timing`, `run --no-timing` on the
-compiled document, `circuit` under the max and `fixed:20.0` policies, and
-`transient --samples 40`. Problems: scalar, matvec and signed, small and
-256x256, with and without settings overrides, a raw config, and invalid
+compiled document, `circuit` under the max, `fixed:20.0` and grouped policies,
+and `transient --samples 40`. Problems: scalar, matvec and signed, small and
+256x256, with and without settings overrides, a matvec compiled with a group
+tolerance ten times below the one `circuit` checks (its grouped netlist, like
+those of the default-settings scalar and matvec cases, exists and has only
+passthrough branches with zero series resistors), a raw config, and invalid
 inputs (non-finite numbers, an overflowing base frequency, compiled documents
-with mistyped fields, raw configs with a non-finite field, the drain at index
-1, flows that overflow or crossbar conductances that underflow). The case
+with mistyped fields, an unknown kind or a multi-mode scalar, raw configs with
+a non-finite field, the drain at index 1, flows that overflow or crossbar
+conductances that underflow). The case
 `other-commands` runs `validate`, the `transient` sweep, and one command for
 each flag that a command does not take, which argparse refuses with exit 2.
 Each command runs in its own interpreter, so exit codes and stderr are those a
@@ -38,6 +42,7 @@ COMMANDS = {
     "run": ["run", "--oracle", "--no-timing"],
     "circuit-max": ["circuit", "--policy", "max"],
     "circuit-fixed": ["circuit", "--policy", "fixed:20.0"],
+    "circuit-grouped": ["circuit", "--policy", "grouped"],
     "transient": ["transient", "--samples", "40"],
 }
 
@@ -91,6 +96,9 @@ def problems() -> dict:
             for settings in (False, True):
                 case = f"{name}-{size}" + ("-settings" if settings else "")
                 cases[case] = _problem(kind, m, n, len(cases), settings)
+    cases["matvec-grouped"] = dict(
+        _problem("matvec", 16, 16, len(cases), False), settings={"group_tol": 1e-4}
+    )
     cases["raw-config"] = {
         "kind": "raw_config",
         "modes": [{"frequency": 1.0}, {"frequency": 2.0}],
@@ -121,6 +129,10 @@ def problems() -> dict:
     )
     cases["invalid-couplings-string"] = _compiled(
         small, lambda d: d["config"].update(couplings=[["x"] * 5] * 5)
+    )
+    cases["invalid-kind"] = _compiled(small, lambda d: d.update(kind="banana"))
+    cases["invalid-multi-mode-scalar"] = _compiled(
+        small, lambda d: d.update(kind="scalar")
     )
     raw = cases["raw-config"]
     cases["invalid-nan-frequency"] = _edited(

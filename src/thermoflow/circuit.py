@@ -223,34 +223,71 @@ def crossbar_currents(crossbar: CrossbarCircuit) -> np.ndarray:
 # SPICE-compatible subset, one element per line:
 #   R<name> <node+> <node-> <ohms>
 #   V<name> <node+> <node-> DC <volts>
-# Header comment carries a content hash; trailing ".end". Node naming: star
-# circuits use n_center / n_res<j>; crossbars use mode bars b_<kappa>,
-# reservoir bars c_<j> and junction nodes x_<kappa>_<j>. Values are shortest
-# round-trip float reprs, so export is byte-deterministic.
+# then a trailing ".end". Node naming: star circuits use n_center / n_res<j>;
+# crossbars use mode bars b_<kappa>, reservoir bars c_<j> and junction nodes
+# x_<kappa>_<j>. Values are shortest round-trip float reprs, so export is
+# byte-deterministic. The header comment carries the first 16 hex digits of the
+# SHA-256 of the newline-joined reprs of the element tuples
+# (kind, name, node+, node-, value), in netlist order. The writers below format
+# each value once and build that tuple text and the netlist line from the same
+# repr; a star's names are quoted with repr, so any label gives the tuple text.
 
 
-def _star_elements(circuit: StarCircuit):
-    labels = circuit.labels or tuple(range(circuit.resistances.size))
-    elements = []
-    for j, res in zip(labels, circuit.resistances):
-        elements.append(("R", f"R{j}", f"n_res{j}", "n_center", float(res)))
-    for j, phi in zip(labels, circuit.potentials):
-        elements.append(("V", f"V{j}", f"n_res{j}", "0", float(phi)))
-    return elements
+def _check_finite(*values):
+    if not all(np.isfinite(v).all() for v in values):
+        raise FloatingPointError("NaN or Infinity in a netlist value")
 
 
-def _crossbar_elements(circuit: CrossbarCircuit):
-    bars = circuit.bar_potentials.tolist()
-    elements = [("V", f"V{j}", f"c_{j}", "0", phi) for j, phi in enumerate(bars)]
+def _star_lines(circuit: StarCircuit):
+    """(digest lines, netlist lines) of a star: its R elements, then its V."""
+    _check_finite(circuit.resistances, circuit.potentials)
+    labels = circuit.labels or range(circuit.resistances.size)
+    digest, lines = [], []
+    for j, value in zip(labels, map(repr, circuit.resistances.tolist())):
+        name, pos = f"R{j}", f"n_res{j}"
+        digest.append(f"('R', {name!r}, {pos!r}, 'n_center', {value})")
+        lines.append(f"{name} {pos} n_center {value}")
+    for j, value in zip(labels, map(repr, circuit.potentials.tolist())):
+        name, pos = f"V{j}", f"n_res{j}"
+        digest.append(f"('V', {name!r}, {pos!r}, '0', {value})")
+        lines.append(f"{name} {pos} 0 DC {value}")
+    return digest, lines
+
+
+def _crossbar_lines(circuit: CrossbarCircuit):
+    """(digest lines, netlist lines) of a crossbar: one V per reservoir bar, then
+    the Rs/Rg pair of each wired branch as one two-line string. The names are
+    identifiers made from ints, so their reprs are the names in single quotes."""
     status = circuit.branch_status
     wired = (status != ABSENT) & (status != OPEN)
     kappas, js = np.nonzero(wired)
-    r_series = circuit.series_resistors[wired].tolist()
-    r_main = (circuit.frequencies[kappas] / circuit.conductances[wired]).tolist()
-    for kappa, j, r_s, r_g in zip(kappas.tolist(), js.tolist(), r_series, r_main):
-        elements.append(("R", f"Rs_{kappa}_{j}", f"c_{j}", f"x_{kappa}_{j}", r_s))
-        elements.append(("R", f"Rg_{kappa}_{j}", f"x_{kappa}_{j}", f"b_{kappa}", r_g))
-    return elements
+    bars = circuit.bar_potentials
+    r_series = circuit.series_resistors[wired]
+    conductances = circuit.conductances[wired]
+    r_main = circuit.frequencies[kappas] / conductances
+    # an infinite conductance would pass as a main resistor of 0
+    _check_finite(bars, r_series, conductances, r_main)
+    digest, lines = [], []
+    for j, value in enumerate(map(repr, bars.tolist())):
+        digest.append(f"('V', 'V{j}', 'c_{j}', '0', {value})")
+        lines.append(f"V{j} c_{j} 0 DC {value}")
+    # index names as strings: formatting them costs more than a lookup
+    kappa_names = list(map(str, range(circuit.frequencies.size)))
+    j_names = list(map(str, range(bars.size)))
+    for kappa, j, r_s, r_g in zip(
+        kappas.tolist(),
+        js.tolist(),
+        map(repr, r_series.tolist()),
+        map(repr, r_main.tolist()),
+    ):
+        k, j = kappa_names[kappa], j_names[j]
+        kj = f"{k}_{j}"
+        digest.append(
+            f"('R', 'Rs_{kj}', 'c_{j}', 'x_{kj}', {r_s})\n"
+            f"('R', 'Rg_{kj}', 'x_{kj}', 'b_{k}', {r_g})"
+        )
+        lines.append(f"Rs_{kj} c_{j} x_{kj} {r_s}\nRg_{kj} x_{kj} b_{k} {r_g}")
+    return digest, lines
 
 
 def format_netlist(header_hash: str, elements) -> str:
@@ -287,16 +324,16 @@ def parse_netlist(text: str):
 
 def export_netlist(circuit) -> str:
     """Deterministic netlist text for a star or crossbar circuit; a NaN or
-    infinite element value raises FloatingPointError."""
+    infinite element value, or crossbar conductance, raises FloatingPointError
+    before anything is formatted."""
     if isinstance(circuit, StarCircuit):
-        elements = _star_elements(circuit)
+        digest, lines = _star_lines(circuit)
     elif isinstance(circuit, CrossbarCircuit):
-        elements = _crossbar_elements(circuit)
+        digest, lines = _crossbar_lines(circuit)
     else:
         raise ConfigError(f"cannot export {type(circuit).__name__} as a netlist")
-    text = "\n".join(repr(e) for e in elements)
-    # element kinds, names and nodes never spell nan or inf; a non-finite value does
-    if "nan" in text or "inf" in text:
-        raise FloatingPointError("NaN or Infinity in a netlist value")
-    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
-    return format_netlist(digest, elements)
+    header = hashlib.sha256("\n".join(digest).encode()).hexdigest()[:16]
+    del digest  # freed before the netlist text is joined
+    lines.insert(0, f"* thermoflow netlist {header}")
+    lines.append(".end\n")
+    return "\n".join(lines)

@@ -136,8 +136,12 @@ def program_from_dict(doc: dict) -> CompiledProgram:
         raise
     except (TypeError, ValueError) as exc:
         raise InputError(f"compiled program field of the wrong type: {exc}") from exc
+    if fields["kind"] not in ("scalar", "matvec"):
+        raise InputError(f"unknown compiled program kind: {fields['kind']!r}")
     program = CompiledProgram(config=config_from_dict(config), groups=groups, **fields)
     k, n = program.config.n_modes, program.config.n_reservoirs - 1
+    if program.kind == "scalar" and k != 1:
+        raise InputError(f"a scalar program holds exactly one mode, not {k}")
     if sorted(i for g in groups for i in g.mode_indices) != list(range(k)):
         raise InputError(f"groups must hold each of the {k} modes exactly once")
     if program.row_scales.shape != (k,) or program.row_dots.shape != (k,):

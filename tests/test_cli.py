@@ -307,6 +307,8 @@ class TestRun:
             lambda d: d["config"]["modes"][0].update(frequency="x"),
             lambda d: d["config"].update(couplings=[[1e-4, "x", 1], [1e-4, 1, 0.5]]),
             lambda d: d.update(groups=[1]),
+            lambda d: d.update(kind="banana"),
+            lambda d: d.update(kind="scalar"),
         ],
         ids=[
             "index-out-of-range",
@@ -324,6 +326,8 @@ class TestRun:
             "string-frequency",
             "string-coupling",
             "group-not-mapping",
+            "unknown-kind",
+            "scalar-with-two-modes",
         ],
     )
     def test_bad_compiled_program_is_validation_error(self, tmp_path, capsys, edit):

@@ -4,12 +4,14 @@ reference implementations.
 The references below are the loop forms the library used before it worked on
 whole arrays. The array forms keep every floating-point expression in the same
 order, so compiled programs, decoded values, bounds, series resistors, branch
-statuses and netlist bytes must match them exactly. Only the crossbar forward
-solve sums in another order and is compared to a tolerance.
+statuses and netlist bytes must match them exactly. The netlist references build
+the element tuples, hash their reprs and format them with format_netlist. Only
+the crossbar forward solve sums in another order and is compared to a tolerance.
 
 The JSON writer is compared the same way, with json.dumps as its reference.
 """
 
+import dataclasses
 import hashlib
 import json
 import tracemalloc
@@ -27,10 +29,12 @@ from thermoflow.circuit import (
     PASSTHROUGH,
     SERIES,
     SolvabilityError,
+    StarCircuit,
     build_crossbar,
     crossbar_currents,
     export_netlist,
     format_netlist,
+    oqs_to_star,
 )
 from thermoflow.cli import (
     compile_problem,
@@ -227,6 +231,17 @@ def ref_netlist(circuit):
     return format_netlist(digest.hexdigest()[:16], elements)
 
 
+def ref_star_netlist(circuit):
+    labels = circuit.labels or tuple(range(circuit.resistances.size))
+    elements = []
+    for j, res in zip(labels, circuit.resistances):
+        elements.append(("R", f"R{j}", f"n_res{j}", "n_center", float(res)))
+    for j, phi in zip(labels, circuit.potentials):
+        elements.append(("V", f"V{j}", f"n_res{j}", "0", float(phi)))
+    digest = hashlib.sha256("\n".join(repr(e) for e in elements).encode())
+    return format_netlist(digest.hexdigest()[:16], elements)
+
+
 def ref_dump_json(doc):
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
@@ -386,6 +401,44 @@ def test_crossbar_matches_branch_loop(name):
     assert checked >= 6
 
 
+def test_star_netlist_matches_tuple_path():
+    for config in crossbar_configs():
+        for kappa in range(config.n_modes):
+            star = oqs_to_star(config, kappa)
+            assert export_netlist(star) == ref_star_netlist(star)
+    resistances = np.array([0.5, 2.0, 1e-300])
+    potentials = np.array([-0.0, 3.0000000000000004, 1e300])
+    # names whose reprs take double quotes or escapes
+    for labels in (None, ("a'b", 'a"b', "a'\"b")):
+        star = StarCircuit(resistances, potentials, labels)
+        assert export_netlist(star) == ref_star_netlist(star)
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["bar_potentials", "series_resistors", "conductances"])
+def test_non_finite_crossbar_value_refused(field, value):
+    crossbar = build_crossbar(crossbar_configs()[-1])
+    assert export_netlist(crossbar) == ref_netlist(crossbar)
+    array = getattr(crossbar, field).copy()
+    # the last wired branch; bar potentials are exported whether wired or not
+    array[..., -1] = value
+    assert crossbar.branch_status[-1, -1] == SERIES
+    with pytest.raises(FloatingPointError):
+        export_netlist(dataclasses.replace(crossbar, **{field: array}))
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "-inf"])
+def test_non_finite_star_potential_refused(value):
+    star = oqs_to_star(crossbar_configs()[-1], 1)
+    potentials = star.potentials.copy()
+    potentials[-1] = value
+    with pytest.raises(FloatingPointError):
+        export_netlist(dataclasses.replace(star, potentials=potentials))
+
+
 def test_transient_csv_matches_row_loop(tmp_path):
     a, b = problem(3, 5, 4)
     config = compiler.encode_matvec(a, b).config
@@ -472,4 +525,21 @@ def test_dump_json_peak_memory_within_reference():
     finally:
         tracemalloc.stop()
     assert text == ref_dump_json(report)
+    assert peak <= ref_peak
+
+
+def test_export_netlist_peak_memory_within_reference():
+    a, b = problem(128, 128, 128)
+    crossbar = build_crossbar(compiler.encode_matvec(a, b).config)
+    tracemalloc.start()
+    try:
+        text = ref_netlist(crossbar)
+        ref_peak = tracemalloc.get_traced_memory()[1]
+        del text
+        tracemalloc.reset_peak()
+        text = export_netlist(crossbar)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == ref_netlist(crossbar)
     assert peak <= ref_peak
