@@ -190,7 +190,10 @@ def build_crossbar(
 def crossbar_currents(crossbar: CrossbarCircuit) -> np.ndarray:
     """Re-solve the crossbar forward: per mode bar, a star with branch resistance
     R + r and source potentials Phi_j; open and absent branches carry no current.
-    Reproduces the mapped currents (hence J/w) for any Phi policy.
+    Reproduces the mapped currents (hence J/w) under the max and fixed policies.
+    The grouped policy writes no series resistors, so each branch sees the
+    shared bar potential instead of its own node potential, which differs by up
+    to group_tol relative: its re-solved currents match only to that order.
 
     Degenerate case: with a uniform Phi across reservoir bars, the derived
     series resistors make the net branch conductance sum to exactly zero, so

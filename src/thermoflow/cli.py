@@ -710,7 +710,9 @@ def main(argv=None) -> int:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # an overflow, 0/0 or x/0 anywhere in a command is a numerical failure
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     except (InputError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

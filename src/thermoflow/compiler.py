@@ -10,6 +10,7 @@ recorded row scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,7 @@ from thermoflow.physics import (
     ConfigError,
     DeviceConfig,
     FlowReport,
+    _bose,
     bose_occupancy,
     inverse_temperature,
 )
@@ -110,16 +112,25 @@ def _check_matrix(p: np.ndarray):
 def _group_deviation(freqs, temperatures, base_occ):
     """Max relative occupancy deviation over non-drain reservoirs at the mode
     frequencies freqs; a mode whose maximum is NaN is skipped."""
-    occ = bose_occupancy(freqs[:, None], temperatures[None, 1:])
+    occ = _bose(freqs[:, None] / temperatures[None, 1:])
     return max(0.0, *(np.abs(occ - base_occ) / base_occ).max(axis=1).tolist())
+
+
+# Upper end of the spread bisection: frequencies stay within w(1 +- 0.9).
+_MAX_SPREAD = 0.9
 
 
 def _solve_spread(base_frequency, temperatures, group_tol):
     """Largest relative half-width delta such that reservoir occupancies across
     [w(1-delta), w(1+delta)] stay within group_tol of their base values.
 
-    Bisection; falls back to delta = 0 (degenerate, exactly equal frequencies)
-    when even a vanishing spread violates the tolerance.
+    An 80-step bisection on [0, 0.9]; falls back to delta = 0 (degenerate,
+    exactly equal frequencies) when even a vanishing spread violates the
+    tolerance. The steps far from the closed-form threshold _spread_guess are
+    decided without evaluating the occupancies. The deviation grows
+    monotonically with delta, so when the final bracket checks out (lo within
+    the tolerance, hi not), every step went the way the plain bisection takes,
+    and the result is bit for bit the same; otherwise the plain bisection runs.
     """
     base_occ = bose_occupancy(base_frequency, temperatures[1:])
 
@@ -127,18 +138,47 @@ def _solve_spread(base_frequency, temperatures, group_tol):
         freqs = base_frequency * (1.0 + np.array([-delta, delta]))
         return _group_deviation(freqs, temperatures, base_occ) <= group_tol
 
-    lo, hi = 0.0, 0.9
     if not within(1e-13):
         return 0.0, True
-    if within(hi):
-        return hi, False
+    if within(_MAX_SPREAD):
+        return _MAX_SPREAD, False
+    guess = _spread_guess(base_occ, group_tol)
+    if math.isfinite(guess):
+        lo, hi = _bisect(within, guess)
+        if (lo == 0.0 or within(lo)) and (hi == _MAX_SPREAD or not within(hi)):
+            return lo, False
+    return _bisect(within, math.nan)[0], False
+
+
+def _spread_guess(base_occ, group_tol):
+    """Closed-form threshold of _solve_spread: the smallest relative frequency
+    shift that moves some occupancy n_j by group_tol of itself, from
+    n(w) = 1/expm1(w/T) and w/T = L(n) with L(y) = log1p(1/y); NaN or infinite
+    when some n_j is 0."""
+    with np.errstate(all="ignore"):
+        level = np.log1p(1.0 / base_occ)
+        up = np.log1p(1.0 / (base_occ * (1.0 - group_tol))) / level - 1.0
+        down = 1.0 - np.log1p(1.0 / (base_occ * (1.0 + group_tol))) / level
+        return float(np.minimum(np.minimum(up, down).min(), _MAX_SPREAD))
+
+
+def _bisect(within, guess):
+    """Final (lo, hi) of 80 bisection steps on [0, _MAX_SPREAD], given that
+    within(_MAX_SPREAD) is False. A step whose midpoint lies more than 1e-8
+    relative below guess counts as within, more than 1e-8 above as not; only
+    the rest call within (all of them for a NaN guess). A midpoint equal to lo
+    or hi takes the answer that end already has."""
+    below, above = guess * (1.0 - 1e-8), guess * (1.0 + 1e-8)
+    lo, hi = 0.0, _MAX_SPREAD
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if within(mid):
+        if mid == lo or mid < below:
             lo = mid
-        else:
+        elif mid == hi or mid > above or not within(mid):
             hi = mid
-    return lo, False
+        else:
+            lo = mid
+    return lo, hi
 
 
 def _compile_groups(tasks, b, settings: EncodeSettings, kind: str) -> CompiledProgram:

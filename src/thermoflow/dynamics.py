@@ -85,13 +85,15 @@ def settling_time(config: DeviceConfig, initial_occupancies, rel_tol: float) -> 
     if np.any(init < 0.0):
         raise ConfigError("initial occupancies must be non-negative")
     _, rates, n_tilde = stationary_state(config)
-    t = 0.0
-    for delta, rate, target in zip(init - n_tilde, rates, n_tilde):
-        if delta == 0.0:
-            continue
-        scale = rel_tol * max(target, SETTLING_FLOOR)
-        t = max(t, math.log(abs(delta) / scale) / rate)
-    return float(t)
+    delta = init - n_tilde
+    moving = delta != 0.0
+    ratio = np.abs(delta[moving]) / (
+        rel_tol * np.maximum(n_tilde[moving], SETTLING_FLOOR)
+    )
+    # math.log per element: np.log rounds differently on some inputs
+    times = np.array([math.log(r) for r in ratio.tolist()]) / rates[moving]
+    times = times[times > 0.0]  # a NaN time never counts as the maximum
+    return float(times.max()) if times.size else 0.0
 
 
 def stationary_window(config: DeviceConfig) -> float:

@@ -38,12 +38,17 @@ def bose_occupancy(frequency, temperature):
         raise ConfigError("frequency must be positive")
     if np.any(t <= 0.0):
         raise ConfigError("temperature must be positive")
-    x = f / t
-    occ = 1.0 / np.expm1(np.minimum(x, _X_FLUSH))
-    occ = np.where((x >= _X_FLUSH) | (occ < OCCUPANCY_FLUSH), 0.0, occ)
+    occ = _bose(f / t)
     if occ.ndim == 0:
         return float(occ)
     return occ
+
+
+def _bose(x):
+    """bose_occupancy at x = w/T without its checks, for callers whose
+    frequencies and temperatures are already known to be positive."""
+    occ = 1.0 / np.expm1(np.minimum(x, _X_FLUSH))
+    return np.where((x >= _X_FLUSH) | (occ < OCCUPANCY_FLUSH), 0.0, occ)
 
 
 def inverse_temperature(frequency, occupancy):

@@ -537,6 +537,25 @@ class TestCircuit:
         assert out.read_text() == GOLDEN.read_text()
         assert "residual" in capsys.readouterr().err
 
+    def test_grouped_residual_is_not_roundoff(self, tmp_path, capsys):
+        """max reproduces the flows to roundoff; grouped writes no series
+        resistors, so it still exits 0 but misses them by about group_tol."""
+        rng = np.random.default_rng(16)
+        problem = {
+            "kind": "matvec",
+            "matrix": rng.uniform(0.0, 1.0, (16, 16)).tolist(),
+            "vector": rng.uniform(1e-6, 10.0, 16).tolist(),
+        }
+        compiled = write_doc(tmp_path, "compiled.json", compile_problem(problem))
+        residuals = {}
+        for policy in ("max", "grouped"):
+            assert main(["circuit", compiled, "--policy", policy]) == 0
+            err = capsys.readouterr().err
+            assert err.startswith("max |I*w - J| residual: ")
+            residuals[policy] = float(err.split()[-1])
+        assert residuals["max"] <= 1e-12
+        assert residuals["grouped"] > 1e-6
+
     def test_policy_fixed_zero_unsolvable(self, golden_problem):
         assert main(
             ["circuit", golden_problem, "--policy", "fixed:0.0"]
@@ -582,8 +601,8 @@ class TestCircuit:
     ):
         path = write_doc(tmp_path, "problem.json", problem)
         out = tmp_path / "out.txt"
-        with pytest.warns(RuntimeWarning):
-            code = main([command, path, "--output", str(out)])
+        # no RuntimeWarning either: pytest turns one into an error
+        code = main([command, path, "--output", str(out)])
         assert code == EXIT_NUMERICAL
         assert not out.exists()
         captured = capsys.readouterr()
@@ -592,7 +611,7 @@ class TestCircuit:
         assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["compile", "run", "circuit", "transient"])
-    def test_overflowing_base_frequency_is_validation_error(
+    def test_overflowing_base_frequency_is_numerical_failure(
         self, tmp_path, capsys, command
     ):
         problem = {
@@ -602,11 +621,11 @@ class TestCircuit:
             "settings": {"base_frequency": 1e308},
         }
         path = write_doc(tmp_path, "huge.json", problem)
-        with pytest.warns(RuntimeWarning):
-            assert main([command, path]) == EXIT_VALIDATION
+        assert main([command, path]) == EXIT_NUMERICAL
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ")
+        assert captured.err.startswith("numerical failure: overflow")
+        assert captured.err.count("\n") == 1
 
 
 class TestValidate:

@@ -14,6 +14,7 @@ The JSON writer is compared the same way, with json.dumps as its reference.
 import dataclasses
 import hashlib
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -78,6 +79,18 @@ def ref_solve_spread(base_frequency, temperatures, group_tol):
         else:
             hi = mid
     return lo, False
+
+
+def ref_settling_time(config, initial_occupancies, rel_tol):
+    """The settling-time mode loop."""
+    _, rates, n_tilde = physics.stationary_state(config)
+    t = 0.0
+    for delta, rate, target in zip(initial_occupancies - n_tilde, rates, n_tilde):
+        if delta == 0.0:
+            continue
+        scale = rel_tol * max(target, dynamics.SETTLING_FLOOR)
+        t = max(t, math.log(abs(delta) / scale) / rate)
+    return float(t)
 
 
 def ref_compile(tasks, b, settings: EncodeSettings):
@@ -359,6 +372,104 @@ def test_signed_parts_match_row_loop(m, n, settings):
         assert_program_matches(program, ref_compile([(part, s.base_frequency)], b, s))
         flows = physics.stationary_flows(program.config)
         assert_decode_matches(program, [compiler.decode_matvec(program, flows)])
+
+
+def spread_cases(seed, count):
+    """(base_frequency, temperatures, group_tol) over the documented domain: up
+    to 300 inputs b spanning 1e-8..1e8 with about 10 % zeros (floored as the
+    compiler floors them), w in 1e-3..1e3 and group_tol in 1e-5..1e-1."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 301))
+        b = 10.0 ** rng.uniform(-8.0, 8.0, n)
+        b[rng.random(n) < 0.1] = 0.0
+        w = 10.0 ** rng.uniform(-3.0, 3.0)
+        temps = np.empty(n + 1)
+        temps[0] = T_FLOOR
+        temps[1:] = inverse_temperature(w, np.maximum(b, 1e-12))
+        yield w, temps, 10.0 ** rng.uniform(-5.0, -1.0)
+
+
+def counted_bisections(monkeypatch):
+    """Record the guess of every compiler._bisect call; NaN marks the plain
+    bisection, which runs after a failed certificate."""
+    guesses = []
+    bisect = compiler._bisect
+
+    def counted(within, guess):
+        guesses.append(guess)
+        return bisect(within, guess)
+
+    monkeypatch.setattr(compiler, "_bisect", counted)
+    return guesses
+
+
+def test_spread_solve_matches_plain_bisection(monkeypatch):
+    guesses = counted_bisections(monkeypatch)
+    for w, temps, tol in spread_cases(80, 500):
+        assert compiler._solve_spread(w, temps, tol) == ref_solve_spread(w, temps, tol)
+    # the closed-form guess decides the far steps and its bracket checks out
+    assert len(guesses) == 500
+    assert all(math.isfinite(g) for g in guesses)
+
+
+@pytest.mark.parametrize("error", [1e-6, -1e-6])
+def test_wrong_spread_guess_falls_back(monkeypatch, error):
+    guess = compiler._spread_guess
+    monkeypatch.setattr(
+        compiler, "_spread_guess", lambda occ, tol: guess(occ, tol) * (1.0 + error)
+    )
+    guesses = counted_bisections(monkeypatch)
+    for w, temps, tol in spread_cases(81, 60):
+        assert compiler._solve_spread(w, temps, tol) == ref_solve_spread(w, temps, tol)
+    # every guessed path failed its certificate and ran the plain bisection
+    assert len(guesses) == 120
+    assert all(math.isnan(g) for g in guesses[1::2])
+
+
+def settling_configs():
+    """Compiled and random devices with initial occupancies: empty, random, and
+    some or all modes starting at their fixed point."""
+    rng = np.random.default_rng(707)
+    configs = [random_config(rng, 8, 32, allow_zero_couplings=True) for _ in range(30)]
+    for seed in range(4):
+        a, b = problem(seed, 12, 9)
+        configs.append(compiler.encode_matvec(a, b).config)
+    for config in configs:
+        n_tilde = physics.stationary_state(config)[2]
+        yield config, np.zeros(config.n_modes)
+        yield config, n_tilde * rng.uniform(0.0, 3.0, config.n_modes)
+        some = np.where(rng.random(config.n_modes) < 0.5, n_tilde, 0.0)
+        yield config, some
+        yield config, n_tilde.copy()
+
+
+@pytest.mark.parametrize("rel_tol", [1e-6, 1e-2, 0.5])
+def test_settling_time_matches_mode_loop(rel_tol):
+    fixed_points = 0
+    for config, init in settling_configs():
+        t = dynamics.settling_time(config, init, rel_tol)
+        assert_same(t, ref_settling_time(config, init, rel_tol))
+        fixed_points += t == 0.0
+    assert fixed_points >= 34  # every all-at-fixed-point start gives exactly 0
+
+
+def test_settling_time_logs_like_math_log():
+    """Starts whose deviation ratio np.log rounds unlike math.log (5 of these
+    10^5 with numpy 2.4 on AVX-512): the settling time must still equal the
+    mode loop's."""
+    rng = np.random.default_rng(708)
+    config = DeviceConfig([1.3], [T_FLOOR, 0.7, 2.0], [[1e-4, 0.6, 0.4]])
+    n_tilde = physics.stationary_state(config)[2]
+    starts = n_tilde * (1.0 + 10.0 ** rng.uniform(-5.0, 6.0, 100_000))
+    ratio = np.abs(starts - n_tilde) / (1e-6 * np.maximum(n_tilde, 1e-15))
+    hard = starts[np.log(ratio) != [math.log(r) for r in ratio.tolist()]]
+    for start in hard[:20]:
+        init = np.array([start])
+        assert_same(
+            dynamics.settling_time(config, init, 1e-6),
+            ref_settling_time(config, init, 1e-6),
+        )
 
 
 def crossbar_configs():
