@@ -15,7 +15,9 @@ and `transient --samples 40`. Problems: scalar, matvec and signed, small and
 256x256, with and without settings overrides, a matvec compiled with a group
 tolerance ten times below the one `circuit` checks (its grouped netlist, like
 those of the default-settings scalar and matvec cases, exists and has only
-passthrough branches with zero series resistors), a raw config, and invalid
+passthrough branches with zero series resistors), a raw config, valid inputs
+whose intermediates are not finite (a zero entry floored below the occupancy
+flush, an occupancy or an entropy rate that overflows), and invalid
 inputs (non-finite numbers, an overflowing base frequency, compiled documents
 with mistyped fields, an unknown kind or a multi-mode scalar, raw configs with
 a non-finite field, the drain at index 1, flows that overflow or crossbar
@@ -151,6 +153,24 @@ def problems() -> dict:
             {"temperature": 3e200},
         ],
         "couplings": [[1e200, 1e200, 2e200], [1e200, 3e200, 1e200]],
+    }
+    # valid inputs whose non-finite intermediates the commands handle: a base
+    # occupancy flushed to 0, an occupancy and an entropy rate that overflow
+    cases["flushed-base-occupancy"] = {
+        "kind": "matvec",
+        "matrix": [[1, 1], [1, 1]],
+        "vector": [0, 1],
+        "settings": {"occupancy_floor": 1e-305},
+    }
+    cases["overflowing-occupancy"] = {
+        "kind": "matvec",
+        "matrix": [[1.0], [7.0], [1.1]],
+        "vector": [3.07e307],
+    }
+    cases["overflowing-entropy-rate"] = {
+        "kind": "matvec",
+        "matrix": [[0.15], [1.0]],
+        "vector": [2.34e304],
     }
     cases["invalid-underflowing-conductance"] = {
         "kind": "raw_config",

@@ -8,7 +8,7 @@ For each size (16x16, 64x64, 256x256, 1024x256) and kind (`matvec`,
 - `settling_time`: `settling_time` from empty modes at rel_tol 1e-6, as a run
   report gives it, summed over the parts.
 
-Each stage runs once to warm up and then --repeats times. The output is a JSON
+Each stage runs once to warm up and then REPEATS times. The output is a JSON
 list of records `{stage, size, kind, median_s, iqr_s, commit}`. Records already
 in --out under another commit are kept, so one file can hold a parent and a
 change:
@@ -34,6 +34,7 @@ import numpy as np
 
 SIZES = [(16, 16), (64, 64), (256, 256), (1024, 256)]
 KINDS = ["matvec", "signed_matvec"]
+REPEATS = 21
 
 
 def _problem(kind: str, m: int, n: int, seed: int):
@@ -47,10 +48,10 @@ def _problem(kind: str, m: int, n: int, seed: int):
     return matrix, vector
 
 
-def _times(fn, repeats: int) -> np.ndarray:
+def _times(fn) -> np.ndarray:
     fn()
-    out = np.empty(repeats)
-    for i in range(repeats):
+    out = np.empty(REPEATS)
+    for i in range(REPEATS):
         start = time.perf_counter()
         fn()
         out[i] = time.perf_counter() - start
@@ -109,7 +110,6 @@ def main() -> int:
         "--src", default=str(repo / "src"), help="source tree of the thermoflow to time"
     )
     parser.add_argument("--commit", default=None, help="commit label of --src")
-    parser.add_argument("--repeats", type=int, default=21)
     args = parser.parse_args()
     sys.path.insert(0, args.src)
     commit = args.commit or _commit(args.src)
@@ -120,7 +120,7 @@ def main() -> int:
     for seed, ((m, n), kind) in enumerate((s, k) for s in SIZES for k in KINDS):
         matrix, vector = _problem(kind, m, n, seed)
         for stage, fn in _stages(kind, matrix, vector).items():
-            times = _times(fn, args.repeats)
+            times = _times(fn)
             q25, median, q75 = np.percentile(times, [25, 50, 75])
             records.append(
                 {

@@ -111,7 +111,9 @@ def _check_matrix(p: np.ndarray):
 
 def _group_deviation(freqs, temperatures, base_occ):
     """Max relative occupancy deviation over non-drain reservoirs at the mode
-    frequencies freqs; a mode whose maximum is NaN is skipped."""
+    frequencies freqs. Callers run it under np.errstate(all="ignore"): a mode
+    whose maximum is NaN (0/0 at a base occupancy flushed to 0) is skipped, and
+    one whose occupancy overflows or whose base occupancy is 0 deviates by inf."""
     occ = _bose(freqs[:, None] / temperatures[None, 1:])
     return max(0.0, *(np.abs(occ - base_occ) / base_occ).max(axis=1).tolist())
 
@@ -138,28 +140,28 @@ def _solve_spread(base_frequency, temperatures, group_tol):
         freqs = base_frequency * (1.0 + np.array([-delta, delta]))
         return _group_deviation(freqs, temperatures, base_occ) <= group_tol
 
-    if not within(1e-13):
-        return 0.0, True
-    if within(_MAX_SPREAD):
-        return _MAX_SPREAD, False
-    guess = _spread_guess(base_occ, group_tol)
-    if math.isfinite(guess):
-        lo, hi = _bisect(within, guess)
-        if (lo == 0.0 or within(lo)) and (hi == _MAX_SPREAD or not within(hi)):
-            return lo, False
-    return _bisect(within, math.nan)[0], False
+    with np.errstate(all="ignore"):
+        if not within(1e-13):
+            return 0.0, True
+        if within(_MAX_SPREAD):
+            return _MAX_SPREAD, False
+        guess = _spread_guess(base_occ, group_tol)
+        if math.isfinite(guess):
+            lo, hi = _bisect(within, guess)
+            if (lo == 0.0 or within(lo)) and (hi == _MAX_SPREAD or not within(hi)):
+                return lo, False
+        return _bisect(within, math.nan)[0], False
 
 
 def _spread_guess(base_occ, group_tol):
     """Closed-form threshold of _solve_spread: the smallest relative frequency
     shift that moves some occupancy n_j by group_tol of itself, from
     n(w) = 1/expm1(w/T) and w/T = L(n) with L(y) = log1p(1/y); NaN or infinite
-    when some n_j is 0."""
-    with np.errstate(all="ignore"):
-        level = np.log1p(1.0 / base_occ)
-        up = np.log1p(1.0 / (base_occ * (1.0 - group_tol))) / level - 1.0
-        down = 1.0 - np.log1p(1.0 / (base_occ * (1.0 + group_tol))) / level
-        return float(np.minimum(np.minimum(up, down).min(), _MAX_SPREAD))
+    when some n_j is 0 (it runs under _solve_spread's errstate)."""
+    level = np.log1p(1.0 / base_occ)
+    up = np.log1p(1.0 / (base_occ * (1.0 - group_tol))) / level - 1.0
+    down = 1.0 - np.log1p(1.0 / (base_occ * (1.0 + group_tol))) / level
+    return float(np.minimum(np.minimum(up, down).min(), _MAX_SPREAD))
 
 
 def _bisect(within, guess):
@@ -226,7 +228,8 @@ def _compile_groups(tasks, b, settings: EncodeSettings, kind: str) -> CompiledPr
 
         input_occ = bose_occupancy(w_g, temps[1:])
         freqs = w_g * (1.0 + deltas)
-        max_dev = _group_deviation(freqs, temps, input_occ)
+        with np.errstate(all="ignore"):
+            max_dev = _group_deviation(freqs, temps, input_occ)
         block = np.empty((m, n + 1))
         block[:, 1:] = settings.total_rate * p_hat
         block[:, 0] = settings.drain_ratio * block[:, 1:].sum(axis=1)

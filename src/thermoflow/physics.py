@@ -192,5 +192,8 @@ def _flow_report(config: DeviceConfig, per_channel, occ) -> FlowReport:
     """Per-reservoir totals and the entropy production rate
     sigma = -sum_j J_j / T_j (non-negative in the stationary state)."""
     per_reservoir = per_channel.sum(axis=0)
-    sigma = float(-(per_reservoir / config.temperatures).sum())
+    # sigma may overflow (a huge flow into the drain at T_FLOOR) and stays
+    # inf or NaN then: the reports that print it refuse it, the rest ignore it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma = float(-(per_reservoir / config.temperatures).sum())
     return FlowReport(per_channel, per_reservoir, sigma, occ)

@@ -74,6 +74,15 @@ UNDERFLOW_PROBLEM = {
     "couplings": [[1e-200, 1e-200]],
 }
 
+# matvec whose zero entry is floored below OCCUPANCY_FLUSH: its base occupancy
+# is flushed to exactly 0, so the spread predicate meets 0/0 and x/0
+FLUSHED_BASE_PROBLEM = {
+    "kind": "matvec",
+    "matrix": [[1, 1], [1, 1]],
+    "vector": [0, 1],
+    "settings": {"occupancy_floor": 1e-305},
+}
+
 # raw config matching the checked-in golden netlist
 GOLDEN_PROBLEM = {
     "kind": "raw_config",
@@ -626,6 +635,29 @@ class TestCircuit:
         assert captured.out == ""
         assert captured.err.startswith("numerical failure: overflow")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, problem",
+        [
+            ("compile", FLUSHED_BASE_PROBLEM),
+            ("compile", {"kind": "matvec", "matrix": [[1.0], [7.0], [1.1]], "vector": [3.07e307]}),
+            ("circuit", {"kind": "matvec", "matrix": [[0.15], [1.0]], "vector": [2.34e304]}),
+        ],
+        ids=["flushed-base-occupancy", "overflowing-occupancy", "overflowing-entropy-rate"],
+    )
+    def test_handled_non_finite_intermediate_succeeds(self, tmp_path, capsys, command, problem):
+        # a 0/0 at a base occupancy flushed to 0 or an overflowing occupancy in
+        # the spread predicate, and an entropy rate that circuit does not print,
+        # do not fail the command
+        path = write_doc(tmp_path, "problem.json", problem)
+        assert main([command, path]) == 0
+        captured = capsys.readouterr()
+        assert captured.out
+        assert captured.err.count("\n") == 1
+        if problem is FLUSHED_BASE_PROBLEM:
+            # the lower mode's occupancy leaves the flushed range at this
+            # spread: the NaN deviations below it are skipped, the inf above not
+            assert json.loads(captured.out)["groups"][0]["spread"] == 0.016393442622951
 
 
 class TestValidate:
