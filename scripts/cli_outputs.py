@@ -17,7 +17,8 @@ tolerance ten times below the one `circuit` checks (its grouped netlist, like
 those of the default-settings scalar and matvec cases, exists and has only
 passthrough branches with zero series resistors), a raw config, valid inputs
 whose intermediates are not finite (a zero entry floored below the occupancy
-flush, an occupancy or an entropy rate that overflows), and invalid
+flush, an occupancy or an entropy rate that overflows), a matvec at base
+frequency 1e300 (`compile` exits 0, `run` and `circuit` exit 4), and invalid
 inputs (non-finite numbers, an overflowing base frequency, compiled documents
 with mistyped fields, an unknown kind or a multi-mode scalar, raw configs with
 a non-finite field, the drain at index 1, flows that overflow or crossbar
@@ -123,6 +124,9 @@ def problems() -> dict:
     }
     cases["invalid-nan-b"] = {"kind": "scalar", "a": [1.0], "b": [float("nan")]}
     cases["invalid-huge-base-frequency"] = dict(small, settings={"base_frequency": 1e308})
+    # compiles (the drain column of the occupancy table overflows to 0 there),
+    # but run and circuit rebuild the device and refuse that overflow
+    cases["overflowing-drain-column"] = dict(small, settings={"base_frequency": 1e300})
     cases["invalid-spread-null"] = _compiled(
         small, lambda d: d["groups"][0].update(spread=None)
     )

@@ -1,14 +1,19 @@
-"""Time the encode, spread-solve and settling-time stages at fixed sizes.
+"""Time the pipeline's stages on seeded problems at fixed sizes.
 
 For each size (16x16, 64x64, 256x256, 1024x256) and kind (`matvec`,
 `signed_matvec`) this times, on a seeded problem:
 
 - `encode`: `encode_matvec`, or `encode_signed_matvec` for both parts;
 - `solve_spread`: the `_solve_spread` calls that encode makes, one per part;
+- `stationary_flows`: `stationary_flows` of each part's device;
 - `settling_time`: `settling_time` from empty modes at rel_tol 1e-6, as a run
-  report gives it, summed over the parts.
+  report gives it, summed over the parts;
+- `run_matvec`: `run_matvec`, or `signed_matvec`, end to end.
 
-Each stage runs once to warm up and then REPEATS times. The output is a JSON
+`stationary_flows` and `settling_time` get a fresh copy of each device on
+every call, made outside the timed region, so that the occupancy table a
+device computes once is built inside each timed call. Each stage runs once to
+warm up and then REPEATS times. The output is a JSON
 list of records `{stage, size, kind, median_s, iqr_s, commit}`. Records already
 in --out under another commit are kept, so one file can hold a parent and a
 change:
@@ -23,6 +28,7 @@ lies in.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import subprocess
@@ -48,25 +54,29 @@ def _problem(kind: str, m: int, n: int, seed: int):
     return matrix, vector
 
 
-def _times(fn) -> np.ndarray:
-    fn()
+def _times(fn, args=tuple) -> np.ndarray:
+    """Seconds of REPEATS calls fn(*args()) after one warm-up; args runs untimed."""
+    fn(*args())
     out = np.empty(REPEATS)
     for i in range(REPEATS):
+        call_args = args()
         start = time.perf_counter()
-        fn()
+        fn(*call_args)
         out[i] = time.perf_counter() - start
     return out
 
 
 def _stages(kind: str, matrix, vector):
-    """{stage: zero-argument callable} for one problem."""
-    from thermoflow import compiler, dynamics
+    """{stage: (callable, untimed argument maker)} for one problem."""
+    from thermoflow import compiler, dynamics, physics
 
     if kind == "matvec":
         encode = functools.partial(compiler.encode_matvec, matrix, vector)
+        run = functools.partial(compiler.run_matvec, matrix, vector)
         programs = [encode()]
     else:
         encode = functools.partial(compiler.encode_signed_matvec, matrix, vector)
+        run = functools.partial(compiler.signed_matvec, matrix, vector)
         programs = [program for _, _, program in encode()]
     tol = compiler.EncodeSettings.group_tol
     spreads = [
@@ -75,20 +85,28 @@ def _stages(kind: str, matrix, vector):
         for g in p.groups
         if len(g.mode_indices) > 1
     ]
-    configs = [p.config for p in programs]
+
+    def fresh_configs():
+        return ([dataclasses.replace(p.config) for p in programs],)
 
     def solve_spread():
         for args in spreads:
             compiler._solve_spread(*args)
 
-    def settling_time():
+    def stationary_flows(configs):
+        for config in configs:
+            physics.stationary_flows(config)
+
+    def settling_time(configs):
         for config in configs:
             dynamics.settling_time(config, np.zeros(config.n_modes), 1e-6)
 
     return {
-        "encode": encode,
-        "solve_spread": solve_spread,
-        "settling_time": settling_time,
+        "encode": (encode, tuple),
+        "solve_spread": (solve_spread, tuple),
+        "stationary_flows": (stationary_flows, fresh_configs),
+        "settling_time": (settling_time, fresh_configs),
+        "run_matvec": (run, tuple),
     }
 
 
@@ -119,8 +137,8 @@ def main() -> int:
     records = [r for r in records if r["commit"] != commit]
     for seed, ((m, n), kind) in enumerate((s, k) for s in SIZES for k in KINDS):
         matrix, vector = _problem(kind, m, n, seed)
-        for stage, fn in _stages(kind, matrix, vector).items():
-            times = _times(fn)
+        for stage, (fn, args) in _stages(kind, matrix, vector).items():
+            times = _times(fn, args)
             q25, median, q75 = np.percentile(times, [25, 50, 75])
             records.append(
                 {

@@ -67,7 +67,7 @@ class CrossbarCircuit:
 
     frequencies: np.ndarray  # (K,)
     conductances: np.ndarray  # (K, n+1), w_kappa gamma[kappa][j]; 0 marks absent
-    node_potentials: np.ndarray  # (K, n+1), phi[kappa][j] = n_j(w_kappa, T_j)
+    node_potentials: np.ndarray  # (K, n+1), phi[kappa][j] = n_j(w_kappa, T_j), read-only
     bar_potentials: np.ndarray  # (n+1,), Phi_j
     series_resistors: np.ndarray  # (K, n+1), r[kappa][j]
     branch_status: np.ndarray  # (K, n+1), status labels

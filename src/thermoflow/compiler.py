@@ -11,7 +11,7 @@ recorded row scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -100,22 +100,28 @@ class DecodedResult:
         return float(np.asarray(self.values).reshape(-1)[0])
 
 
-def _check_matrix(p: np.ndarray):
+def _check_matrix(p: np.ndarray) -> np.ndarray:
+    """Validate a non-negative matrix with no all-zero row; returns its row sums."""
     if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] < 1:
         raise ConfigError("matrix must be 2-D and non-empty")
     if np.any(p < 0.0):
         raise ConfigError("matrix entries must be non-negative")
-    if np.any(p.sum(axis=1) <= 0.0):
+    sums = p.sum(axis=1)
+    if np.any(sums <= 0.0):
         raise ConfigError("matrix has an all-zero row")
+    return sums
 
 
-def _group_deviation(freqs, temperatures, base_occ):
-    """Max relative occupancy deviation over non-drain reservoirs at the mode
-    frequencies freqs. Callers run it under np.errstate(all="ignore"): a mode
-    whose maximum is NaN (0/0 at a base occupancy flushed to 0) is skipped, and
-    one whose occupancy overflows or whose base occupancy is 0 deviates by inf."""
-    occ = _bose(freqs[:, None] / temperatures[None, 1:])
-    return max(0.0, *(np.abs(occ - base_occ) / base_occ).max(axis=1).tolist())
+def _group_deviation(occ, base_occ):
+    """Max relative deviation |occ - base_occ| / base_occ over the rows of occ,
+    the non-drain occupancies at the modes' frequencies. Callers run it under
+    np.errstate(all="ignore"): a mode whose maximum is NaN (0/0 at a base
+    occupancy flushed to 0) is skipped, and one whose occupancy overflows or
+    whose base occupancy is 0 deviates by inf."""
+    dev = np.subtract(occ, base_occ)
+    np.abs(dev, out=dev)
+    dev /= base_occ
+    return max(0.0, *dev.max(axis=1).tolist())
 
 
 # Upper end of the spread bisection: frequencies stay within w(1 +- 0.9).
@@ -138,7 +144,8 @@ def _solve_spread(base_frequency, temperatures, group_tol):
 
     def within(delta):
         freqs = base_frequency * (1.0 + np.array([-delta, delta]))
-        return _group_deviation(freqs, temperatures, base_occ) <= group_tol
+        occ = _bose(freqs[:, None] / temperatures[None, 1:])
+        return _group_deviation(occ, base_occ) <= group_tol
 
     with np.errstate(all="ignore"):
         if not within(1e-13):
@@ -208,7 +215,7 @@ def _compile_groups(tasks, b, settings: EncodeSettings, kind: str) -> CompiledPr
     row_dots = []
     for gid, (p, w_g) in enumerate(tasks, start=1):
         p = np.asarray(p, dtype=float)
-        _check_matrix(p)
+        scales = _check_matrix(p)
         if p.shape[1] != n:
             raise ConfigError(
                 f"matrix has {p.shape[1]} columns but input vector has {n} entries"
@@ -216,7 +223,6 @@ def _compile_groups(tasks, b, settings: EncodeSettings, kind: str) -> CompiledPr
         if w_g <= 0.0:
             raise ConfigError("group base frequency must be positive")
         m = p.shape[0]
-        scales = p.sum(axis=1)
         p_hat = p / scales[:, None]
 
         if m == 1:
@@ -227,14 +233,11 @@ def _compile_groups(tasks, b, settings: EncodeSettings, kind: str) -> CompiledPr
             deltas = np.linspace(-spread, spread, m)
 
         input_occ = bose_occupancy(w_g, temps[1:])
-        freqs = w_g * (1.0 + deltas)
-        with np.errstate(all="ignore"):
-            max_dev = _group_deviation(freqs, temps, input_occ)
         block = np.empty((m, n + 1))
-        block[:, 1:] = settings.total_rate * p_hat
+        np.multiply(settings.total_rate, p_hat, out=block[:, 1:])
         block[:, 0] = settings.drain_ratio * block[:, 1:].sum(axis=1)
         start = sum(map(len, freq_blocks))
-        freq_blocks.append(freqs)
+        freq_blocks.append(w_g * (1.0 + deltas))
         group_ids.append(np.full(m, gid))
         blocks.append(block)
         row_scales.append(scales)
@@ -246,7 +249,7 @@ def _compile_groups(tasks, b, settings: EncodeSettings, kind: str) -> CompiledPr
                 mode_indices=tuple(range(start, start + m)),
                 base_frequency=w_g,
                 spread=spread,
-                max_occupancy_dev=max_dev,
+                max_occupancy_dev=math.nan,  # read off the device's table below
                 degenerate=degenerate,
                 input_occupancies=input_occ,
             )
@@ -257,9 +260,14 @@ def _compile_groups(tasks, b, settings: EncodeSettings, kind: str) -> CompiledPr
     config = DeviceConfig(
         frequencies=np.concatenate(freq_blocks),
         temperatures=temps,
-        couplings=np.vstack(blocks),
+        couplings=blocks[0] if len(blocks) == 1 else np.vstack(blocks),
         group_ids=np.concatenate(group_ids),
     )
+    with np.errstate(all="ignore"):  # builds the table: w/T_FLOOR may overflow
+        for i, g in enumerate(groups):
+            occ = config.occupancies[g.mode_indices[0] : g.mode_indices[-1] + 1, 1:]
+            dev = _group_deviation(occ, g.input_occupancies)
+            groups[i] = replace(g, max_occupancy_dev=dev)
     return CompiledProgram(
         config=config,
         groups=tuple(groups),

@@ -9,6 +9,7 @@ Energy flow J[kappa][j] > 0 means energy flows from reservoir j into the system.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,9 +47,16 @@ def bose_occupancy(frequency, temperature):
 
 def _bose(x):
     """bose_occupancy at x = w/T without its checks, for callers whose
-    frequencies and temperatures are already known to be positive."""
-    occ = 1.0 / np.expm1(np.minimum(x, _X_FLUSH))
-    return np.where((x >= _X_FLUSH) | (occ < OCCUPANCY_FLUSH), 0.0, occ)
+    frequencies and temperatures are already known to be positive. Writes the
+    occupancies over x when it is a float array (callers pass a fresh w/T)."""
+    occ = np.asarray(x, dtype=float)
+    flush = occ >= _X_FLUSH
+    np.minimum(occ, _X_FLUSH, out=occ)
+    np.expm1(occ, out=occ)
+    np.divide(1.0, occ, out=occ)
+    flush |= occ < OCCUPANCY_FLUSH
+    occ[flush] = 0.0
+    return occ
 
 
 def inverse_temperature(frequency, occupancy):
@@ -120,6 +128,15 @@ class DeviceConfig:
         object.__setattr__(self, "couplings", g)
         object.__setattr__(self, "group_ids", ids)
 
+    @cached_property
+    def occupancies(self) -> np.ndarray:
+        """Read-only (K, n+1) table n_j(w_kappa, T_j) of reservoir occupancies at
+        the mode frequencies, computed on first use under the errstate then active
+        and shared by the flows, the dynamics and the crossbar."""
+        occ = _bose(self.frequencies[:, None] / self.temperatures[None, :])
+        occ.setflags(write=False)
+        return occ
+
     @property
     def n_modes(self):
         return self.frequencies.size
@@ -132,20 +149,13 @@ class DeviceConfig:
 @dataclass(frozen=True)
 class FlowReport:
     """Stationary energy flows: per (mode, reservoir) channel, per reservoir,
-    the total entropy production rate, and the (K, n+1) occupancy table the
-    flows were computed from."""
+    the total entropy production rate, and the device's read-only (K, n+1)
+    occupancy table the flows were computed from."""
 
     per_channel: np.ndarray
     per_reservoir: np.ndarray
     entropy_rate: float
     occupancies: np.ndarray
-
-
-def occupancy_table(config: DeviceConfig) -> np.ndarray:
-    """(K, n+1) table n_j(w_kappa, T_j) of reservoir occupancies at mode frequencies."""
-    return bose_occupancy(
-        config.frequencies[:, None], config.temperatures[None, :]
-    )
 
 
 def stationary_state(config: DeviceConfig):
@@ -154,7 +164,7 @@ def stationary_state(config: DeviceConfig):
     n_tilde[kappa] = sum_j gamma[kappa][j] n_j(w_kappa) / Gamma_kappa is the fixed
     point of every mode's rate equation and the reference of every channel flow.
     """
-    occ = occupancy_table(config)
+    occ = config.occupancies
     g = config.couplings
     rates = g.sum(axis=1)
     return occ, rates, (g * occ).sum(axis=1) / rates
@@ -176,7 +186,7 @@ def stationary_flows_pairwise(config: DeviceConfig) -> FlowReport:
     """Same flows computed from the pairwise form
     J[kappa][j] = w sum_q gamma_j gamma_q / (sum_m gamma_m) (n_j - n_q);
     agrees with stationary_flows to ~1e-12 relative per channel."""
-    occ = occupancy_table(config)
+    occ = config.occupancies
     g = config.couplings
     totals = g.sum(axis=1)
     k, n1 = g.shape

@@ -637,6 +637,35 @@ class TestCircuit:
         assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "command, code",
+        [
+            ("compile", 0),
+            ("run", EXIT_NUMERICAL),
+            ("circuit", EXIT_NUMERICAL),
+            ("transient", EXIT_NUMERICAL),
+        ],
+    )
+    def test_overflowing_drain_column(self, tmp_path, capsys, command, code):
+        # at base frequency 1e300 the drain column w/T_FLOOR of the occupancy
+        # table overflows: encode flushes it to 0, while the commands that
+        # rebuild the device from the compiled document refuse the overflow
+        problem = {
+            "kind": "matvec",
+            "matrix": [[0.5, 0.5], [0.2, 0.8]],
+            "vector": [1.0, 2.0],
+            "settings": {"base_frequency": 1e300},
+        }
+        path = write_doc(tmp_path, "huge.json", problem)
+        assert main([command, path]) == code
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        if code:
+            assert captured.out == ""
+            assert captured.err.startswith("numerical failure: overflow")
+        else:
+            assert json.loads(captured.out)["type"] == "compiled_program"
+
+    @pytest.mark.parametrize(
         "command, problem",
         [
             ("compile", FLUSHED_BASE_PROBLEM),
@@ -658,6 +687,37 @@ class TestCircuit:
             # the lower mode's occupancy leaves the flushed range at this
             # spread: the NaN deviations below it are skipped, the inf above not
             assert json.loads(captured.out)["groups"][0]["spread"] == 0.016393442622951
+
+
+class TestOccupancyTable:
+    """A command builds each device's occupancy table once and shares it."""
+
+    @pytest.mark.parametrize(
+        "argv, kind, devices",
+        [
+            (["run", "--no-timing"], "matvec", 1),
+            (["run", "--no-timing"], "signed_matvec", 2),
+            (["transient", "--samples", "5"], "matvec", 1),
+            (["circuit"], "matvec", 1),
+        ],
+        ids=["run", "run-signed", "transient", "circuit"],
+    )
+    def test_one_build_per_device(self, tmp_path, monkeypatch, argv, kind, devices):
+        path = write_doc(
+            tmp_path, "compiled.json", compile_problem(golden_compile_problem(kind))
+        )
+        built = []
+        table = physics.DeviceConfig.__dict__["occupancies"]
+        build = table.func
+
+        def counted(config):
+            built.append(config)
+            return build(config)
+
+        monkeypatch.setattr(table, "func", counted)
+        assert main([*argv, path, "--output", str(tmp_path / "out")]) == 0
+        # run: flows and settling time; transient: evolve and two settling times
+        assert len(built) == len({id(config) for config in built}) == devices
 
 
 class TestValidate:

@@ -140,6 +140,12 @@ class TestEncodeMatvec:
         with pytest.raises(ConfigError):
             encode_matvec([[1.0, 0.0], [0.0, 0.0]], [1.0, 1.0])
 
+    def test_overflowing_drain_column_flushes_silently(self):
+        # w/T_FLOOR overflows at this base frequency; pytest turns a
+        # RuntimeWarning into an error
+        program = encode_matvec([[0.5, 0.5], [0.2, 0.8]], [1.0, 2.0], base_frequency=1e300)
+        assert np.all(program.config.occupancies[:, 0] == 0.0)
+
     def test_group_invariant_holds(self):
         p = np.random.default_rng(7).uniform(0.1, 1.0, (6, 4))
         b = np.array([0.5, 1.0, 2.0, 4.0])

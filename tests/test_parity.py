@@ -81,9 +81,39 @@ def ref_solve_spread(base_frequency, temperatures, group_tol):
     return lo, False
 
 
+def ref_bose(x):
+    """The np.where form of physics._bose, with a fresh array per step."""
+    occ = 1.0 / np.expm1(np.minimum(x, physics._X_FLUSH))
+    return np.where((x >= physics._X_FLUSH) | (occ < physics.OCCUPANCY_FLUSH), 0.0, occ)
+
+
+def ref_stationary_state(config):
+    """A fresh occupancy table from ref_bose, total rates and n_tilde."""
+    occ = ref_bose(config.frequencies[:, None] / config.temperatures[None, :])
+    g = config.couplings
+    rates = g.sum(axis=1)
+    return occ, rates, (g * occ).sum(axis=1) / rates
+
+
+def ref_flows(config):
+    """The flows expression w gamma (n_j - n_tilde) with fresh temporaries."""
+    occ, _, n_tilde = ref_stationary_state(config)
+    return config.frequencies[:, None] * config.couplings * (occ - n_tilde[:, None])
+
+
+def ref_max_occupancy_dev(program, group):
+    """The group deviation from a table of the group's own modes."""
+    freqs = program.config.frequencies[list(group.mode_indices)]
+    temps = program.config.temperatures
+    base_occ = ref_bose(group.base_frequency / temps[1:])
+    with np.errstate(all="ignore"):
+        occ = ref_bose(freqs[:, None] / temps[None, 1:])
+        return max(0.0, *(np.abs(occ - base_occ) / base_occ).max(axis=1).tolist())
+
+
 def ref_settling_time(config, initial_occupancies, rel_tol):
     """The settling-time mode loop."""
-    _, rates, n_tilde = physics.stationary_state(config)
+    _, rates, n_tilde = ref_stationary_state(config)
     t = 0.0
     for delta, rate, target in zip(initial_occupancies - n_tilde, rates, n_tilde):
         if delta == 0.0:
@@ -427,6 +457,87 @@ def test_wrong_spread_guess_falls_back(monkeypatch, error):
     assert all(math.isnan(g) for g in guesses[1::2])
 
 
+# w/T quotients from 1e-12 to 1e3: tiny, moderate, and past the flush point
+BOSE_SHAPES = [(k, n) for k in range(1, 34) for n in range(1, 34)] + [(1024, 257)]
+
+
+def test_bose_matches_where_form():
+    rng = np.random.default_rng(901)
+    for shape in BOSE_SHAPES:
+        x = 10.0 ** rng.uniform(-12.0, 3.0, shape)
+        assert_same(physics._bose(x.copy()), ref_bose(x))
+
+
+@pytest.mark.parametrize("x", [3.0, np.float64(1e-9), np.array(700.0), np.array(0.5)])
+def test_bose_matches_where_form_0d(x):
+    occ = physics._bose(x.copy() if isinstance(x, np.ndarray) else x)
+    assert occ.ndim == 0
+    assert_same(occ, ref_bose(x))
+    single = bose_occupancy(float(x), 1.0)
+    assert type(single) is float
+    assert_same(single, float(ref_bose(x)))
+
+
+def test_bose_matches_where_form_in_flush_region():
+    flush = physics._X_FLUSH
+    x = np.array(
+        [np.nextafter(flush, 0.0), flush, np.nextafter(flush, np.inf), 690.78, 700.0]
+        + [1e3, 1e10, 1e300, np.inf]
+    )
+    assert_same(physics._bose(x.copy()), ref_bose(x))
+    assert np.all(ref_bose(x)[1:] == 0.0)
+
+
+def test_bose_matches_where_form_across_occupancy_flush():
+    # 4000 ulps below the flush point: 1/expm1(x) crosses OCCUPANCY_FLUSH there
+    x = physics._X_FLUSH + np.arange(-4000, 1) * np.spacing(physics._X_FLUSH)
+    occ = ref_bose(x)
+    assert (occ == 0.0).any()
+    assert ((occ > 0.0) & (occ < 1.000001 * physics.OCCUPANCY_FLUSH)).any()
+    assert_same(physics._bose(x.copy()), occ)
+
+
+def wide_problems(seed, count):
+    """(matrix, vector, settings) over the documented domain: m, n in 1..299,
+    b spanning 1e-8..1e8 with about 10 % zeros, and random settings."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m, n = (int(v) for v in rng.integers(1, 300, 2))
+        a = rng.uniform(0.0, 1.0, (m, n))
+        a[rng.random((m, n)) < 0.2] = 0.0
+        a[:, 0] = np.where(np.all(a == 0.0, axis=1), 0.5, a[:, 0])
+        b = 10.0 ** rng.uniform(-8.0, 8.0, n)
+        b[rng.random(n) < 0.1] = 0.0
+        settings = {
+            "base_frequency": 10.0 ** rng.uniform(-3.0, 3.0),
+            "drain_ratio": 10.0 ** rng.uniform(-6.0, -2.0),
+            "total_rate": 10.0 ** rng.uniform(-2.0, 2.0),
+            "group_tol": 10.0 ** rng.uniform(-5.0, -1.0),
+            "occupancy_floor": 10.0 ** rng.uniform(-14.0, -8.0),
+        }
+        yield a, b, settings
+
+
+def test_shared_table_matches_fresh_temporaries():
+    """The device's one occupancy table, and the flows, settling times and
+    group deviations read off it, against the forms that built a fresh table
+    and fresh temporaries at every step."""
+    rng = np.random.default_rng(903)
+    for a, b, settings in wide_problems(902, 300):
+        program = compiler.encode_matvec(a, b, **settings)
+        config = program.config
+        [group] = program.groups
+        assert group.max_occupancy_dev == ref_max_occupancy_dev(program, group)
+        assert_same(config.occupancies, ref_stationary_state(config)[0])
+        assert_same(physics.stationary_flows(config).per_channel, ref_flows(config))
+        n_tilde = ref_stationary_state(config)[2]
+        for init in (np.zeros(config.n_modes), n_tilde * rng.uniform(0.0, 3.0)):
+            assert_same(
+                dynamics.settling_time(config, init, 1e-6),
+                ref_settling_time(config, init, 1e-6),
+            )
+
+
 def settling_configs():
     """Compiled and random devices with initial occupancies: empty, random, and
     some or all modes starting at their fixed point."""
@@ -490,7 +601,7 @@ def test_crossbar_matches_branch_loop(name):
     checked = 0
     for config in crossbar_configs():
         active = config.couplings > 0.0
-        phi = physics.occupancy_table(config)
+        phi = config.occupancies
         # a uniform fixed bar above every node potential takes the degenerate pin
         policy = ("fixed", float(phi.max()) + 1.0) if name == "fixed" else name
         if name == "grouped":

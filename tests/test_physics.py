@@ -212,7 +212,9 @@ class TestStationaryFlows:
     def test_stationary_state_is_weighted_occupancy(self, rng):
         config = random_config(rng, max_modes=4, max_reservoirs=8)
         occ, rates, n_tilde = physics.stationary_state(config)
-        np.testing.assert_array_equal(occ, physics.occupancy_table(config))
+        np.testing.assert_array_equal(
+            occ, bose_occupancy(config.frequencies[:, None], config.temperatures)
+        )
         np.testing.assert_array_equal(rates, config.couplings.sum(axis=1))
         for kappa in range(config.n_modes):
             assert n_tilde[kappa] == pytest.approx(
@@ -246,7 +248,7 @@ class TestStationaryFlows:
         for _ in range(50):
             config = random_config(rng, max_modes=4, max_reservoirs=8)
             flows = stationary_flows(config)
-            occ = physics.occupancy_table(config)
+            occ = config.occupancies
             for kappa in range(config.n_modes):
                 n_tilde = weighted_occupancy(config, kappa)
                 for j in range(config.n_reservoirs):
@@ -285,7 +287,7 @@ class TestPairwiseForm:
         g1, g2 = 0.7, 1.9
         config = occupancy_config(1.5, [0.8], [[g1, g2]])
         flows = stationary_flows_pairwise(config)
-        occ = physics.occupancy_table(config)[0]
+        occ = config.occupancies[0]
         expected = 1.5 * g1 * g2 / (g1 + g2) * (occ[1] - occ[0])
         assert flows.per_channel[0, 1] == pytest.approx(expected, rel=1e-12)
 
