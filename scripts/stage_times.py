@@ -4,7 +4,9 @@ For each size (16x16, 64x64, 256x256, 1024x256) and kind (`matvec`,
 `signed_matvec`) this times, on a seeded problem:
 
 - `encode`: `encode_matvec`, or `encode_signed_matvec` for both parts;
-- `solve_spread`: the `_solve_spread` calls that encode makes, one per part;
+- `solve_spread`: the `_solve_spread` calls that encode makes, recorded from an
+  untimed encode (one per multi-row part, or one for a signed product whose
+  parts share it);
 - `stationary_flows`: `stationary_flows` of each part's device;
 - `settling_time`: `settling_time` from empty modes at rel_tol 1e-6, as a run
   report gives it, summed over the parts;
@@ -73,25 +75,23 @@ def _stages(kind: str, matrix, vector):
     if kind == "matvec":
         encode = functools.partial(compiler.encode_matvec, matrix, vector)
         run = functools.partial(compiler.run_matvec, matrix, vector)
-        programs = [encode()]
     else:
         encode = functools.partial(compiler.encode_signed_matvec, matrix, vector)
         run = functools.partial(compiler.signed_matvec, matrix, vector)
-        programs = [program for _, _, program in encode()]
-    tol = compiler.EncodeSettings.group_tol
-    spreads = [
-        (g.base_frequency, p.config.temperatures, tol)
-        for p in programs
-        for g in p.groups
-        if len(g.mode_indices) > 1
-    ]
+    solve, spreads = compiler._solve_spread, []
+    compiler._solve_spread = lambda *args: spreads.append(args) or solve(*args)
+    try:
+        compiled = encode()
+    finally:
+        compiler._solve_spread = solve
+    programs = [compiled] if kind == "matvec" else [p for _, _, p in compiled]
 
     def fresh_configs():
         return ([dataclasses.replace(p.config) for p in programs],)
 
     def solve_spread():
         for args in spreads:
-            compiler._solve_spread(*args)
+            solve(*args)
 
     def stationary_flows(configs):
         for config in configs:

@@ -287,47 +287,73 @@ def load_document(path: str) -> dict:
     return doc
 
 
-def compile_problem(doc: dict):
-    """Problem document -> compiled document (dict)."""
+def _compile(doc: dict):
+    """Problem document -> (type, compiled), in _load's form."""
     kind = _require(doc, "kind")
     settings = _settings_from(doc)
     if kind == "scalar":
         a, b = _array(doc, "a"), _array(doc, "b")
-        return program_to_dict(compiler.encode_scalar_product(a, b, **settings))
-    if kind == "matvec":
+        program = compiler.encode_scalar_product(a, b, **settings)
+    elif kind == "matvec":
         p, b = _array(doc, "matrix"), _array(doc, "vector")
-        return program_to_dict(compiler.encode_matvec(p, b, **settings))
-    if kind == "signed_matvec":
+        program = compiler.encode_matvec(p, b, **settings)
+    elif kind == "signed_matvec":
         a, b = _array(doc, "matrix"), _array(doc, "vector")
         parts = compiler.encode_signed_matvec(a, b, **settings)
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "type": "compiled_signed",
-            "target_shape": list(a.shape),
-            "parts": {
-                _PART_NAMES[sign]: {
-                    "program": program_to_dict(program),
-                    "rows": rows.tolist(),
-                }
-                for sign, rows, program in parts
-            },
-        }
+        parts = [(sign, rows, _surface_table_errors(p)) for sign, rows, p in parts]
+        return "compiled_signed", (a.shape, parts)
+    elif kind == "raw_config":
+        return "raw_config", config_from_dict(doc)
+    else:
+        raise InputError(f"unknown problem kind: {kind!r}")
+    return "compiled_program", _surface_table_errors(program)
+
+
+def _surface_table_errors(program: CompiledProgram) -> CompiledProgram:
+    """program, or, when encode's table build hit an overflow or x/0 (encode
+    ignores them; the extreme w/T show them), a copy that builds it again on
+    first use, so that the command fails there as on the compiled document."""
+    w, t = program.config.frequencies, program.config.temperatures
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            physics.bose_occupancy(np.array([w.max(), w.min()]), [t.min(), t.max()])
+        return program
+    except FloatingPointError:
+        return dataclasses.replace(program, config=dataclasses.replace(program.config))
+
+
+def _document(kind: str, compiled) -> dict:
+    """The compiled document of _load's (type, compiled)."""
+    if kind == "compiled_program":
+        return program_to_dict(compiled)
+    doc = {"schema_version": SCHEMA_VERSION, "type": kind}
     if kind == "raw_config":
-        config = config_from_dict(doc)
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "type": "raw_config",
-            "config": config_to_dict(config),
-        }
-    raise InputError(f"unknown problem kind: {kind!r}")
+        return dict(doc, config=config_to_dict(compiled))
+    shape, parts = compiled
+    doc["target_shape"] = list(shape)
+    doc["parts"] = {
+        _PART_NAMES[sign]: {"program": program_to_dict(program), "rows": rows.tolist()}
+        for sign, rows, program in parts
+    }
+    return doc
 
 
-def _is_compiled(doc: dict) -> bool:
-    return doc.get("type") in ("compiled_program", "compiled_signed", "raw_config")
+def compile_problem(doc: dict):
+    """Problem document -> compiled document (dict)."""
+    return _document(*_compile(doc))
 
 
-def _ensure_compiled(doc: dict) -> dict:
-    return doc if _is_compiled(doc) else compile_problem(doc)
+def _load(doc: dict):
+    """A document as (type, compiled): a CompiledProgram, (target shape,
+    [(sign, rows, program)]) or a DeviceConfig, by type, or a problem's."""
+    kind = doc.get("type")
+    if kind == "raw_config":
+        return kind, config_from_dict(doc["config"])
+    if kind == "compiled_program":
+        return kind, program_from_dict(doc)
+    if kind == "compiled_signed":
+        return kind, _signed_parts(doc)
+    return _compile(doc)
 
 
 def _flow_tables(flows):
@@ -343,30 +369,30 @@ def _settling_time(config: DeviceConfig) -> float:
 
 
 def run_compiled(doc: dict, with_oracle: bool, problem_doc: dict | None) -> dict:
-    """Execute a compiled document and assemble the run report body."""
+    """Execute a compiled or problem document and assemble the run report body;
+    the oracle reads a compiled document's problem_doc, or the problem itself."""
+    kind, compiled = _load(doc)
+    log.debug("run: compiled, type %r", kind)
     report: dict = {"schema_version": SCHEMA_VERSION, "type": "run_report"}
 
-    if doc["type"] in ("raw_config", "compiled_program"):
-        raw = doc["type"] == "raw_config"
-        program = None if raw else program_from_dict(doc)
-        config = config_from_dict(doc["config"]) if raw else program.config
+    if kind in ("raw_config", "compiled_program"):
+        raw = kind == "raw_config"
+        config = compiled if raw else compiled.config
         flows = physics.stationary_flows(config)
         report.update(
-            kind="raw_config" if raw else program.kind,
+            kind=kind if raw else compiled.kind,
             flows=_flow_tables(flows),
             entropy_rate=flows.entropy_rate,
             settling_time=_settling_time(config),
             config=config_to_dict(config),
         )
         report["config_hash"] = config_hash(report["config"])
-        if raw:
-            return report
-        result = compiler.decode_matvec(program, flows)  # a scalar is a one-mode matvec
+        result = None if raw else compiler.decode_matvec(compiled, flows)  # scalar too
 
-    elif doc["type"] == "compiled_signed":
+    else:
         decoded, tables, hashes = [], {}, {}
         entropy = settle = 0.0
-        m, parts = _signed_parts(doc)
+        shape, parts = compiled
         for sign, rows, program in parts:
             name = _PART_NAMES[sign]
             flows = physics.stationary_flows(program.config)
@@ -375,7 +401,7 @@ def run_compiled(doc: dict, with_oracle: bool, problem_doc: dict | None) -> dict
             entropy += flows.entropy_rate
             settle = max(settle, _settling_time(program.config))
             hashes[name] = config_hash(config_to_dict(program.config))
-        result = compiler.combine_signed(m, decoded)
+        result = compiler.combine_signed(shape[0], decoded)
         report.update(
             kind="signed_matvec",
             flows=tables,
@@ -384,19 +410,19 @@ def run_compiled(doc: dict, with_oracle: bool, problem_doc: dict | None) -> dict
             config_hash="+".join(f"{k}:{v}" for k, v in sorted(hashes.items())),
         )
 
-    else:
-        raise InputError(f"not a runnable document: {doc.get('type')!r}")
-
-    report.update(
-        decoded=result.values.tolist(), error_bounds=result.error_bound.tolist()
-    )
-    if with_oracle:
-        _attach_oracle(report, problem_doc)
+    if result is not None:
+        report.update(
+            decoded=result.values.tolist(), error_bounds=result.error_bound.tolist()
+        )
+        if with_oracle:
+            _attach_oracle(report, problem_doc if doc.get("type") == kind else doc)
+    sizes = _device_size(kind, compiled)
+    log.debug("run: ran %r, %d modes, %d reservoirs", report["kind"], *sizes)
     return report
 
 
 def _signed_parts(doc: dict):
-    """Output count m and the checked [(sign, rows, program)] of a compiled
+    """Target shape and the checked [(sign, rows, program)] of a compiled
     signed document, plus part first."""
     shape = _indices(doc.get("target_shape"), "target_shape")
     if len(shape) != 2:
@@ -416,7 +442,7 @@ def _signed_parts(doc: dict):
         if len(set(rows)) != k or len(rows) != k or max(rows) >= shape[0]:
             raise InputError(f"{name} rows need {k} distinct indices below {shape[0]}")
         checked.append((sign, list(rows), program))
-    return shape[0], checked
+    return shape, checked
 
 
 def _attach_oracle(report: dict, problem_doc: dict | None):
@@ -449,14 +475,13 @@ def _emit(text: str, output: str | None):
 # --- subcommands --------------------------------------------------------------
 
 
-def _device_size(compiled: dict) -> tuple:
-    """Modes and reservoirs of a well-formed compiled document, summed over the
-    parts of a signed one."""
-    if compiled["type"] == "compiled_signed":
-        configs = [part["program"]["config"] for part in compiled["parts"].values()]
+def _device_size(kind: str, compiled) -> tuple:
+    """Modes and reservoirs of _load's (type, compiled), summed over parts."""
+    if kind == "compiled_signed":
+        configs = [program.config for _, _, program in compiled[1]]
     else:
-        configs = [compiled["config"]]
-    return tuple(sum(len(c[key]) for c in configs) for key in ("modes", "reservoirs"))
+        configs = [compiled if kind == "raw_config" else compiled.config]
+    return sum(c.n_modes for c in configs), sum(c.n_reservoirs for c in configs)
 
 
 def _write_output(command: str, doc: dict, output: str | None):
@@ -469,17 +494,17 @@ def _write_output(command: str, doc: dict, output: str | None):
 def cmd_compile(args) -> int:
     doc = load_document(args.problem)
     log.debug("compile: loaded %s, kind %r", args.problem, doc.get("kind"))
-    compiled = compile_problem(doc)
-    log.debug(
-        "compile: %s, %d modes, %d reservoirs", compiled["type"], *_device_size(compiled)
-    )
-    _write_output("compile", compiled, args.output)
-    if compiled["type"] == "compiled_program":
-        cfg = compiled["config"]
-        spread = max(g["spread"] for g in compiled["groups"])
+    kind, compiled = _compile(doc)
+    sizes = _device_size(kind, compiled)
+    log.debug("compile: %s, %d modes, %d reservoirs", kind, *sizes)
+    document = _document(kind, compiled)
+    _write_output("compile", document, args.output)
+    if kind == "compiled_program":
+        cfg = document["config"]
+        spread = max(g["spread"] for g in document["groups"])
         print(
             f"compiled: {len(cfg['modes'])} modes, {len(cfg['reservoirs'])} reservoirs,"
-            f" drain_ratio={compiled['drain_ratio']}, group spread={spread}",
+            f" drain_ratio={document['drain_ratio']}, group spread={spread}",
             file=sys.stderr,
         )
     return 0
@@ -490,14 +515,8 @@ def cmd_run(args) -> int:
     log.debug(
         "run: loaded %s, type %r, kind %r", args.problem, doc.get("type"), doc.get("kind")
     )
-    problem_doc = None if _is_compiled(doc) else doc
     started = time.monotonic()
-    compiled = _ensure_compiled(doc)
-    log.debug("run: compiled, type %r", compiled["type"])
-    report = run_compiled(compiled, args.oracle, problem_doc)
-    log.debug(
-        "run: ran %r, %d modes, %d reservoirs", report["kind"], *_device_size(compiled)
-    )
+    report = run_compiled(doc, args.oracle, None)
     if not args.no_timing:
         report["timing"] = {"seconds": time.monotonic() - started}
     _write_output("run", report, args.output)
@@ -505,11 +524,10 @@ def cmd_run(args) -> int:
 
 
 def _compiled_config(doc: dict) -> DeviceConfig:
-    doc = _ensure_compiled(doc)
-    if doc["type"] == "compiled_program":
-        return program_from_dict(doc).config
-    if doc["type"] == "raw_config":
-        return config_from_dict(doc["config"])
+    if doc.get("type") != "compiled_signed":
+        kind, compiled = _load(doc)
+        if kind != "compiled_signed":
+            return compiled if kind == "raw_config" else compiled.config
     raise InputError("signed problems have two configs; compile each part separately")
 
 

@@ -113,15 +113,15 @@ def _check_matrix(p: np.ndarray) -> np.ndarray:
 
 
 def _group_deviation(occ, base_occ):
-    """Max relative deviation |occ - base_occ| / base_occ over the rows of occ,
-    the non-drain occupancies at the modes' frequencies. Callers run it under
-    np.errstate(all="ignore"): a mode whose maximum is NaN (0/0 at a base
-    occupancy flushed to 0) is skipped, and one whose occupancy overflows or
-    whose base occupancy is 0 deviates by inf."""
+    """Max relative deviation |occ - base_occ| / base_occ along the last axis of
+    occ, the non-drain occupancies at the modes' frequencies. Callers run it
+    under np.errstate(all="ignore") and skip a maximum that is NaN (0/0 at a
+    base occupancy flushed to 0); one whose occupancy overflows or whose base
+    occupancy is 0 deviates by inf."""
     dev = np.subtract(occ, base_occ)
     np.abs(dev, out=dev)
     dev /= base_occ
-    return max(0.0, *dev.max(axis=1).tolist())
+    return dev.max(axis=-1)
 
 
 # Upper end of the spread bisection: frequencies stay within w(1 +- 0.9).
@@ -134,30 +134,51 @@ def _solve_spread(base_frequency, temperatures, group_tol):
 
     An 80-step bisection on [0, 0.9]; falls back to delta = 0 (degenerate,
     exactly equal frequencies) when even a vanishing spread violates the
-    tolerance. The steps far from the closed-form threshold _spread_guess are
-    decided without evaluating the occupancies. The deviation grows
-    monotonically with delta, so when the final bracket checks out (lo within
-    the tolerance, hi not), every step went the way the plain bisection takes,
-    and the result is bit for bit the same; otherwise the plain bisection runs.
+    tolerance. The deviation grows monotonically with delta, so each step just
+    compares its midpoint with the predicate's float threshold, which batched
+    calls find within 1e-8 relative of the closed-form _spread_guess. When the
+    final bracket checks out (lo within the tolerance, hi not), the result is
+    bit for bit the plain bisection's; otherwise that runs, one call a step.
     """
     base_occ = bose_occupancy(base_frequency, temperatures[1:])
 
-    def within(delta):
-        freqs = base_frequency * (1.0 + np.array([-delta, delta]))
-        occ = _bose(freqs[:, None] / temperatures[None, 1:])
-        return _group_deviation(occ, base_occ) <= group_tol
+    def within(deltas):  # for each delta; skips a NaN deviation, as encode does
+        freqs = base_frequency * (1.0 + np.multiply.outer((-1.0, 1.0), deltas))
+        occ = _bose(freqs[..., None] / temperatures[1:])
+        return ~(np.fmax(*_group_deviation(occ, base_occ)) > group_tol)
 
     with np.errstate(all="ignore"):
-        if not within(1e-13):
-            return 0.0, True
-        if within(_MAX_SPREAD):
-            return _MAX_SPREAD, False
         guess = _spread_guess(base_occ, group_tol)
-        if math.isfinite(guess):
-            lo, hi = _bisect(within, guess)
-            if (lo == 0.0 or within(lo)) and (hi == _MAX_SPREAD or not within(hi)):
-                return lo, False
-        return _bisect(within, math.nan)[0], False
+        window = [guess * (1.0 - 1e-8), guess * (1.0 + 1e-8)]
+        ok = within([1e-13, _MAX_SPREAD, *window]).tolist()
+        if not ok[0]:
+            return 0.0, True
+        if ok[1]:
+            return _MAX_SPREAD, False
+        if guess > 0.0 and ok[2:] == [True, False]:
+            # k points a call: its fixed cost is about 256 // n points' work (x86-64)
+            t = _threshold(within, *window, max(4, min(32, 256 // base_occ.size)))
+            if t is not None:
+                lo, hi = _bisect(lambda mid: mid <= t)
+                if within([lo, hi]).tolist() == [True, False]:
+                    return lo, False
+        return _bisect(within)[0], False
+
+
+def _threshold(within, lo, hi, k):
+    """The last double within the tolerance between positive lo (within) and hi
+    (not), ordered as the integers of their bits: each round tries k evenly spaced
+    doubles in between, or all. None when some answers are not True then False."""
+    lo, hi = np.array([lo, hi]).view(np.int64).tolist()
+    while hi - lo > 1:
+        step = max(1, (hi - lo) // (k + 1))
+        inner = list(range(lo + step, hi, step))[:k]
+        ok = within(np.array(inner).view(float)).tolist()
+        count = sum(ok)
+        if not all(ok[:count]):
+            return None
+        lo, hi = [lo, *inner, hi][count : count + 2]
+    return float(np.array(lo).view(float))
 
 
 def _spread_guess(base_occ, group_tol):
@@ -171,42 +192,35 @@ def _spread_guess(base_occ, group_tol):
     return float(np.minimum(np.minimum(up, down).min(), _MAX_SPREAD))
 
 
-def _bisect(within, guess):
-    """Final (lo, hi) of 80 bisection steps on [0, _MAX_SPREAD], given that
-    within(_MAX_SPREAD) is False. A step whose midpoint lies more than 1e-8
-    relative below guess counts as within, more than 1e-8 above as not; only
-    the rest call within (all of them for a NaN guess). A midpoint equal to lo
-    or hi takes the answer that end already has."""
-    below, above = guess * (1.0 - 1e-8), guess * (1.0 + 1e-8)
+def _bisect(decide):
+    """Final (lo, hi) of 80 bisection steps on [0, _MAX_SPREAD]: a midpoint
+    where decide holds becomes lo, any other hi."""
     lo, hi = 0.0, _MAX_SPREAD
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid < below:
+        if decide(mid):
             lo = mid
-        elif mid == hi or mid > above or not within(mid):
-            hi = mid
         else:
-            lo = mid
+            hi = mid
     return lo, hi
 
 
-def _compile_groups(tasks, b, settings: EncodeSettings, kind: str) -> CompiledProgram:
-    """Shared encoder: tasks is a list of (matrix, base_frequency) sharing the
-    reservoir set; group 1's base frequency defines the temperature encoding."""
-    settings.validate()
+def _temperatures(b, s: EncodeSettings) -> np.ndarray:
+    """Validated reservoir temperatures encoding b at s.base_frequency, drain first."""
+    s.validate()
     b = np.asarray(b, dtype=float)
     if b.ndim != 1:
         raise ConfigError("input vector must be 1-D")
     if np.any(b < 0.0):
         raise ConfigError("input vector entries must be non-negative")
-    n = b.size
+    temps = inverse_temperature(s.base_frequency, np.maximum(b, s.occupancy_floor))
+    return np.concatenate(([T_FLOOR], temps))
 
-    b_floored = np.maximum(b, settings.occupancy_floor)
-    w_base = tasks[0][1]
-    temps = np.empty(n + 1)
-    temps[0] = T_FLOOR
-    temps[1:] = inverse_temperature(w_base, b_floored)
 
+def _compile_groups(tasks, temps, settings, kind, shared) -> CompiledProgram:
+    """Shared encoder of tasks, (matrix, base_frequency) pairs, at temperatures
+    temps; shared maps w to (input occupancies, (spread, degenerate) or None)."""
+    n = temps.size - 1
     freq_blocks = []
     group_ids = []
     blocks = []
@@ -225,14 +239,14 @@ def _compile_groups(tasks, b, settings: EncodeSettings, kind: str) -> CompiledPr
         m = p.shape[0]
         p_hat = p / scales[:, None]
 
+        input_occ, solved = shared.get(w_g) or (bose_occupancy(w_g, temps[1:]), None)
         if m == 1:
-            spread, degenerate = 0.0, False
-            deltas = np.zeros(1)
+            spread, degenerate, deltas = 0.0, False, np.zeros(1)
         else:
-            spread, degenerate = _solve_spread(w_g, temps, settings.group_tol)
+            solved = solved or _solve_spread(w_g, temps, settings.group_tol)
+            spread, degenerate = solved
             deltas = np.linspace(-spread, spread, m)
-
-        input_occ = bose_occupancy(w_g, temps[1:])
+        shared[w_g] = input_occ, solved
         block = np.empty((m, n + 1))
         np.multiply(settings.total_rate, p_hat, out=block[:, 1:])
         block[:, 0] = settings.drain_ratio * block[:, 1:].sum(axis=1)
@@ -267,7 +281,7 @@ def _compile_groups(tasks, b, settings: EncodeSettings, kind: str) -> CompiledPr
         for i, g in enumerate(groups):
             occ = config.occupancies[g.mode_indices[0] : g.mode_indices[-1] + 1, 1:]
             dev = _group_deviation(occ, g.input_occupancies)
-            groups[i] = replace(g, max_occupancy_dev=dev)
+            groups[i] = replace(g, max_occupancy_dev=max(0.0, *dev.tolist()))
     return CompiledProgram(
         config=config,
         groups=tuple(groups),
@@ -315,15 +329,16 @@ def encode_scalar_product(a, b, **settings) -> CompiledProgram:
     if a.ndim != 1:
         raise ConfigError("a must be a 1-D vector")
     s = EncodeSettings(**settings)
-    return _compile_groups([(a[None, :], s.base_frequency)], b, s, "scalar")
+    task = (a[None, :], s.base_frequency)
+    return _compile_groups([task], _temperatures(b, s), s, "scalar", {})
 
 
 def encode_matvec(p, b, **settings) -> CompiledProgram:
     """Compile P @ b for a non-negative row matrix P: one mode per row, frequencies
     spread as widely as the group-closeness tolerance allows."""
     s = EncodeSettings(**settings)
-    p = np.asarray(p, dtype=float)
-    return _compile_groups([(p, s.base_frequency)], b, s, "matvec")
+    tasks = [(np.asarray(p, dtype=float), s.base_frequency)]
+    return _compile_groups(tasks, _temperatures(b, s), s, "matvec", {})
 
 
 def encode_parallel_matvec(tasks, b, **settings) -> CompiledProgram:
@@ -336,7 +351,7 @@ def encode_parallel_matvec(tasks, b, **settings) -> CompiledProgram:
         raise ConfigError("need at least one (matrix, base_frequency) task")
     tasks = [(np.asarray(p, dtype=float), float(w)) for p, w in tasks]
     s = EncodeSettings(base_frequency=tasks[0][1], **settings)
-    return _compile_groups(tasks, b, s, "matvec")
+    return _compile_groups(tasks, _temperatures(b, s), s, "matvec", {})
 
 
 def estimate_encoding_error(program: CompiledProgram) -> np.ndarray:
@@ -419,7 +434,9 @@ def parallel_group_products(program: CompiledProgram, flows: FlowReport):
 def signed_split(a):
     """Split A into non-negative parts with A = A_plus - A_minus exactly."""
     a = np.asarray(a, dtype=float)
-    return np.where(a > 0.0, a, 0.0), np.where(a < 0.0, -a, 0.0)
+    minus = np.subtract(0.0, a)  # never -0.0; fmax then zeroes NaN as np.where does
+    np.fmax(minus, 0.0, out=minus)
+    return np.where(a > 0.0, a, 0.0), minus
 
 
 def run_matvec(p, b, **settings) -> DecodedResult:
@@ -434,18 +451,21 @@ def encode_signed_matvec(a, b, **settings):
     Returns [(sign, rows, program)] for the parts with at least one non-zero
     row; program computes that part's rows `rows` (in ascending order) against
     b. All-zero rows of a part contribute exactly 0 with zero bound, so they
-    are left out of its program.
+    are left out of its program. The parts share one spread solve.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ConfigError("matrix must be 2-D")
     if np.any(np.all(a == 0.0, axis=1)):
         raise ConfigError("matrix has an all-zero row")
-    parts = []
+    s = EncodeSettings(**settings)
+    temps, shared, parts = _temperatures(b, s), {}, []
     for sign, part in zip((1.0, -1.0), signed_split(a)):
-        rows = np.flatnonzero(~np.all(part == 0.0, axis=1))
+        rows = np.flatnonzero(part.any(axis=1))  # a part holds no -0.0 or NaN
         if rows.size:
-            parts.append((sign, rows, encode_matvec(part[rows], b, **settings)))
+            tasks = [(part if rows.size == len(part) else part[rows], s.base_frequency)]
+            program = _compile_groups(tasks, temps, s, "matvec", shared)
+            parts.append((sign, rows, program))
     return parts
 
 

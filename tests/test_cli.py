@@ -693,19 +693,35 @@ class TestOccupancyTable:
     """A command builds each device's occupancy table once and shares it."""
 
     @pytest.mark.parametrize(
-        "argv, kind, devices",
+        "argv, kind, devices, compiled",
         [
-            (["run", "--no-timing"], "matvec", 1),
-            (["run", "--no-timing"], "signed_matvec", 2),
-            (["transient", "--samples", "5"], "matvec", 1),
-            (["circuit"], "matvec", 1),
+            (["run", "--no-timing"], "matvec", 1, True),
+            (["run", "--no-timing"], "signed_matvec", 2, True),
+            (["transient", "--samples", "5"], "matvec", 1, True),
+            (["circuit"], "matvec", 1, True),
+            (["run", "--no-timing"], "matvec", 1, False),
+            (["run", "--no-timing", "--oracle"], "signed_matvec", 2, False),
+            (["transient", "--samples", "5"], "matvec", 1, False),
+            (["circuit"], "matvec", 1, False),
         ],
-        ids=["run", "run-signed", "transient", "circuit"],
+        ids=[
+            "run",
+            "run-signed",
+            "transient",
+            "circuit",
+            "problem-run",
+            "problem-run-signed",
+            "problem-transient",
+            "problem-circuit",
+        ],
     )
-    def test_one_build_per_device(self, tmp_path, monkeypatch, argv, kind, devices):
-        path = write_doc(
-            tmp_path, "compiled.json", compile_problem(golden_compile_problem(kind))
-        )
+    def test_one_build_per_device(
+        self, tmp_path, monkeypatch, argv, kind, devices, compiled
+    ):
+        # a problem document runs on the devices encode built, whose table
+        # encode already used for max_occupancy_dev
+        doc = golden_compile_problem(kind)
+        path = write_doc(tmp_path, "doc.json", compile_problem(doc) if compiled else doc)
         built = []
         table = physics.DeviceConfig.__dict__["occupancies"]
         build = table.func

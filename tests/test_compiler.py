@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,7 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import coupling_weights
-from thermoflow import physics
+from thermoflow import compiler, physics
+from thermoflow.cli import compile_problem, dump_json
 from thermoflow.compiler import (
     combine_signed,
     decode_matvec,
@@ -271,6 +274,41 @@ class TestSignedMatvec:
         np.testing.assert_array_equal(result.raw_flows[1], minus.raw_flows)
         assert result.raw_flows[0, 1] == 0.0
         np.testing.assert_array_equal(result.values, signed_matvec(a, b).values)
+
+    def test_parts_share_one_spread_solve(self, monkeypatch):
+        solves = []
+        solve = compiler._solve_spread
+        monkeypatch.setattr(
+            compiler, "_solve_spread", lambda *args: solves.append(args) or solve(*args)
+        )
+        a = np.array([[0.5, -0.2], [-0.3, 0.4], [0.1, -0.7]])
+        parts = encode_signed_matvec(a, np.array([1.0, 2.0]))
+        assert [rows.size for _, rows, _ in parts] == [3, 3]
+        assert len(solves) == 1
+        plus, minus = (program.groups[0] for _, _, program in parts)
+        assert plus.spread == minus.spread > 0.0
+        assert plus.input_occupancies is minus.input_occupancies
+
+    def test_split_matches_where_form(self):
+        a = np.array([[-0.0, 0.0, 1.5, -2.5, np.nan], [np.inf, -np.inf, 5e-324, -5e-324, 1.0]])
+        plus, minus = signed_split(a)
+        assert plus.tobytes() == np.where(a > 0.0, a, 0.0).tobytes()
+        assert minus.tobytes() == np.where(a < 0.0, -a, 0.0).tobytes()
+
+    def test_negative_zero_splits_like_zero(self):
+        a = np.array([[0.5, -0.0, -0.25], [-0.0, 0.75, -0.5], [0.25, 0.0, -0.0]])
+        b = np.array([1.0, 0.0, 2.0])
+        for part, reference in zip(signed_split(a), signed_split(a + 0.0)):
+            assert not np.signbit(part).any()
+            assert part.tobytes() == reference.tobytes()
+        # the compiled bytes are those of the same matrix with +0.0 entries
+        problem = {"kind": "signed_matvec", "vector": b.tolist()}
+        docs = [
+            dump_json(compile_problem(dict(problem, matrix=matrix.tolist())))
+            for matrix in (a, a + 0.0)
+        ]
+        assert "-0.0" in json.dumps(a.tolist())
+        assert docs[0] == docs[1]
 
     @given(
         arrays(

@@ -15,7 +15,12 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -420,27 +425,34 @@ def spread_cases(seed, count):
         yield w, temps, 10.0 ** rng.uniform(-5.0, -1.0)
 
 
-def counted_bisections(monkeypatch):
-    """Record the guess of every compiler._bisect call; NaN marks the plain
-    bisection, which runs after a failed certificate."""
-    guesses = []
-    bisect = compiler._bisect
+def counted_spread_solves(monkeypatch):
+    """Count the spread predicate's calls, one _bose table each, and record for
+    every compiler._bisect call whether it ran the plain bisection, which calls
+    the predicate itself; the fast path decides from the found threshold."""
+    calls, plain = [0], []
+    bose, bisect = compiler._bose, compiler._bisect
 
-    def counted(within, guess):
-        guesses.append(guess)
-        return bisect(within, guess)
+    def counted_bose(x):
+        calls[0] += 1
+        return bose(x)
 
-    monkeypatch.setattr(compiler, "_bisect", counted)
-    return guesses
+    def counted_bisect(decide):
+        before = calls[0]
+        result = bisect(decide)
+        plain.append(calls[0] > before)
+        return result
+
+    monkeypatch.setattr(compiler, "_bose", counted_bose)
+    monkeypatch.setattr(compiler, "_bisect", counted_bisect)
+    return calls, plain
 
 
 def test_spread_solve_matches_plain_bisection(monkeypatch):
-    guesses = counted_bisections(monkeypatch)
+    _, plain = counted_spread_solves(monkeypatch)
     for w, temps, tol in spread_cases(80, 500):
         assert compiler._solve_spread(w, temps, tol) == ref_solve_spread(w, temps, tol)
-    # the closed-form guess decides the far steps and its bracket checks out
-    assert len(guesses) == 500
-    assert all(math.isfinite(g) for g in guesses)
+    # the guess window holds every threshold and every final bracket checks out
+    assert plain == [False] * 500
 
 
 @pytest.mark.parametrize("error", [1e-6, -1e-6])
@@ -449,12 +461,99 @@ def test_wrong_spread_guess_falls_back(monkeypatch, error):
     monkeypatch.setattr(
         compiler, "_spread_guess", lambda occ, tol: guess(occ, tol) * (1.0 + error)
     )
-    guesses = counted_bisections(monkeypatch)
+    _, plain = counted_spread_solves(monkeypatch)
     for w, temps, tol in spread_cases(81, 60):
         assert compiler._solve_spread(w, temps, tol) == ref_solve_spread(w, temps, tol)
-    # every guessed path failed its certificate and ran the plain bisection
-    assert len(guesses) == 120
-    assert all(math.isnan(g) for g in guesses[1::2])
+    # the window misses every threshold, so only the plain bisection ran
+    assert plain == [True] * 60
+
+
+def test_spread_solve_calls_are_few(monkeypatch):
+    """Predicate calls per solve on lib-sized inputs (n <= 16, b in [1e-6, 10]
+    with zeros, default w and group_tol); the plain bisection makes 81."""
+    calls, plain = counted_spread_solves(monkeypatch)
+    rng = np.random.default_rng(83)
+    per_solve = []
+    for _ in range(300):
+        n = int(rng.integers(1, 17))
+        b = rng.uniform(1e-6, 10.0, n)
+        b[rng.random(n) < 0.1] = 0.0
+        temps = np.concatenate(([T_FLOOR], inverse_temperature(1.0, np.maximum(b, 1e-12))))
+        calls[0] = 0
+        compiler._solve_spread(1.0, temps, 1e-3)
+        per_solve.append(calls[0])
+    assert max(per_solve) <= 10
+    assert not any(plain)
+
+
+def bits(*deltas):
+    return np.array(deltas).view(np.int64).tolist()
+
+
+def threshold_predicate(t, calls):
+    """A monotone predicate with threshold t that records each call's deltas."""
+
+    def within(deltas):
+        calls.append(deltas.copy())
+        return deltas <= t
+
+    return within
+
+
+@pytest.mark.parametrize("k", [4, 5, 32])
+@pytest.mark.parametrize("gap", [1, 2, 3, 5, 6, 33, 1000, 10**7])
+def test_threshold_finds_last_double_within(k, gap):
+    lo = 1e-3
+    hi, t = np.array(bits(lo)) + [gap, gap // 3]
+    hi, t = np.array([hi, t]).view(float).tolist()
+    calls = []
+    assert compiler._threshold(threshold_predicate(t, calls), lo, hi, k) == t
+    assert all(0 < c.size <= k for c in calls)
+    if gap <= k + 1:
+        # few doubles left: one call evaluates every one of them
+        expected = [list(range(bits(lo)[0] + 1, bits(hi)[0]))] if gap > 1 else []
+        assert [bits(*c) for c in calls] == expected
+
+
+def test_threshold_gives_up_on_non_monotone_predicate():
+    calls = []
+
+    def alternating(deltas):
+        calls.append(deltas)
+        return np.arange(deltas.size) % 2 == 0
+
+    assert compiler._threshold(alternating, 1e-3, 2e-3, 8) is None
+    assert len(calls) == 1
+
+
+# numpy dispatch groups above the x86-64 build baseline (X86_V2)
+ABOVE_BASELINE = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+
+
+@pytest.mark.skipif(
+    platform.machine() not in ("x86_64", "AMD64"), reason="names x86-64 dispatch groups"
+)
+def test_spread_solve_matches_plain_bisection_at_baseline_dispatch():
+    """The batched predicate answers as the single calls do under numpy's
+    baseline loops too, whose expm1 and log1p round differently."""
+    tests = Path(__file__).resolve().parent
+    code = (
+        "from numpy._core._multiarray_umath import __cpu_features__\n"
+        "from test_parity import compiler, ref_solve_spread, spread_cases\n"
+        "assert not __cpu_features__.get('X86_V3')\n"
+        "cases = list(spread_cases(84, 100))\n"
+        "print(sum(compiler._solve_spread(*c) != ref_solve_spread(*c) for c in cases))\n"
+    )
+    env = dict(
+        os.environ,
+        NPY_DISABLE_CPU_FEATURES=ABOVE_BASELINE,
+        PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]),
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
 
 
 # w/T quotients from 1e-12 to 1e3: tiny, moderate, and past the flush point
