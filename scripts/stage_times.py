@@ -8,17 +8,22 @@ For each size (16x16, 64x64, 256x256, 1024x256) and kind (`matvec`,
   untimed encode (one per multi-row part, or one for a signed product whose
   parts share it);
 - `stationary_flows`: `stationary_flows` of each part's device;
+- `drain_readout`: the drain column the pipelines decode from, for each part:
+  `drain_flows`, or on a tree without it (before it was added) the first
+  column of `stationary_flows`, which the pipelines read there;
 - `settling_time`: `settling_time` from empty modes at rel_tol 1e-6, as a run
   report gives it, summed over the parts;
 - `run_matvec`: `run_matvec`, or `signed_matvec`, end to end.
 
-`stationary_flows` and `settling_time` get a fresh copy of each device on
-every call, made outside the timed region, so that the occupancy table a
-device computes once is built inside each timed call. Each stage runs once to
-warm up and then REPEATS times. The output is a JSON
-list of records `{stage, size, kind, median_s, iqr_s, commit}`. Records already
-in --out under another commit are kept, so one file can hold a parent and a
-change:
+`stationary_flows`, `drain_readout` and `settling_time` get a fresh copy of
+each device on every call, made outside the timed region, so that the
+occupancy table a device computes once is built inside each timed call. Each
+stage runs once to warm up and then REPEATS times. `minflt_per_call` is the
+mean count of minor page faults this process took inside a timed call
+(`getrusage(RUSAGE_SELF).ru_minflt` around it). The output is a JSON list of
+records `{stage, size, kind, median_s, iqr_s, minflt_per_call, commit}`.
+Records already in --out under another commit are kept, so one file can hold a
+parent and a change:
 
     python3 scripts/stage_times.py --src ../parent/src --commit <parent> --out BENCH.json
     python3 scripts/stage_times.py --out BENCH.json
@@ -33,6 +38,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import resource
 import subprocess
 import sys
 import time
@@ -56,16 +62,23 @@ def _problem(kind: str, m: int, n: int, seed: int):
     return matrix, vector
 
 
-def _times(fn, args=tuple) -> np.ndarray:
-    """Seconds of REPEATS calls fn(*args()) after one warm-up; args runs untimed."""
+def _minflt() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def _times(fn, args=tuple):
+    """Seconds of REPEATS calls fn(*args()) after one warm-up, and their mean
+    count of minor page faults; args runs untimed."""
     fn(*args())
-    out = np.empty(REPEATS)
+    out, faults = np.empty(REPEATS), 0
     for i in range(REPEATS):
         call_args = args()
+        before = _minflt()
         start = time.perf_counter()
         fn(*call_args)
         out[i] = time.perf_counter() - start
-    return out
+        faults += _minflt() - before
+    return out, faults / REPEATS
 
 
 def _stages(kind: str, matrix, vector):
@@ -97,6 +110,13 @@ def _stages(kind: str, matrix, vector):
         for config in configs:
             physics.stationary_flows(config)
 
+    def drain_flows(config):
+        return physics.stationary_flows(config).per_channel[:, 0]
+
+    def drain_readout(configs):
+        for config in configs:
+            getattr(physics, "drain_flows", drain_flows)(config)
+
     def settling_time(configs):
         for config in configs:
             dynamics.settling_time(config, np.zeros(config.n_modes), 1e-6)
@@ -105,6 +125,7 @@ def _stages(kind: str, matrix, vector):
         "encode": (encode, tuple),
         "solve_spread": (solve_spread, tuple),
         "stationary_flows": (stationary_flows, fresh_configs),
+        "drain_readout": (drain_readout, fresh_configs),
         "settling_time": (settling_time, fresh_configs),
         "run_matvec": (run, tuple),
     }
@@ -138,7 +159,7 @@ def main() -> int:
     for seed, ((m, n), kind) in enumerate((s, k) for s in SIZES for k in KINDS):
         matrix, vector = _problem(kind, m, n, seed)
         for stage, (fn, args) in _stages(kind, matrix, vector).items():
-            times = _times(fn, args)
+            times, faults = _times(fn, args)
             q25, median, q75 = np.percentile(times, [25, 50, 75])
             records.append(
                 {
@@ -147,10 +168,14 @@ def main() -> int:
                     "kind": kind,
                     "median_s": float(median),
                     "iqr_s": float(q75 - q25),
+                    "minflt_per_call": faults,
                     "commit": commit,
                 }
             )
-            print(f"{commit} {kind} {m}x{n} {stage}: {median:.6f} s", file=sys.stderr)
+            print(
+                f"{commit} {kind} {m}x{n} {stage}: {median:.6f} s, {faults:.0f} faults",
+                file=sys.stderr,
+            )
     out.write_text(json.dumps(records, indent=2) + "\n")
     return 0
 

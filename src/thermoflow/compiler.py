@@ -22,6 +22,7 @@ from thermoflow.physics import (
     DeviceConfig,
     FlowReport,
     _bose,
+    _by_row_blocks,
     bose_occupancy,
     inverse_temperature,
 )
@@ -101,12 +102,14 @@ class DecodedResult:
 
 
 def _check_matrix(p: np.ndarray) -> np.ndarray:
-    """Validate a non-negative matrix with no all-zero row; returns its row sums."""
+    """Validate a finite non-negative matrix without all-zero rows; returns row sums."""
     if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] < 1:
         raise ConfigError("matrix must be 2-D and non-empty")
-    if np.any(p < 0.0):
+    if not (p >= 0.0).all() and np.isfinite(p).all():
         raise ConfigError("matrix entries must be non-negative")
     sums = p.sum(axis=1)
+    if not np.isfinite(sums).all():  # also where an entry is NaN or infinite
+        raise ConfigError("matrix entries must be finite, with finite row sums")
     if np.any(sums <= 0.0):
         raise ConfigError("matrix has an all-zero row")
     return sums
@@ -237,8 +240,6 @@ def _compile_groups(tasks, temps, settings, kind, shared) -> CompiledProgram:
         if w_g <= 0.0:
             raise ConfigError("group base frequency must be positive")
         m = p.shape[0]
-        p_hat = p / scales[:, None]
-
         input_occ, solved = shared.get(w_g) or (bose_occupancy(w_g, temps[1:]), None)
         if m == 1:
             spread, degenerate, deltas = 0.0, False, np.zeros(1)
@@ -248,15 +249,16 @@ def _compile_groups(tasks, temps, settings, kind, shared) -> CompiledProgram:
             deltas = np.linspace(-spread, spread, m)
         shared[w_g] = input_occ, solved
         block = np.empty((m, n + 1))
-        np.multiply(settings.total_rate, p_hat, out=block[:, 1:])
-        block[:, 0] = settings.drain_ratio * block[:, 1:].sum(axis=1)
+        p_hat = np.divide(p, scales[:, None], out=block[:, 1:])
+        # One dot per row: the gemv p_hat @ input_occ rounds differently.
+        row_dots += [float(row @ input_occ) for row in p_hat]
+        p_hat *= settings.total_rate
+        block[:, 0] = settings.drain_ratio * p_hat.sum(axis=1)
         start = sum(map(len, freq_blocks))
         freq_blocks.append(w_g * (1.0 + deltas))
         group_ids.append(np.full(m, gid))
         blocks.append(block)
         row_scales.append(scales)
-        # One dot per row: the gemv p_hat @ input_occ rounds differently.
-        row_dots += [float(row @ input_occ) for row in p_hat]
         groups.append(
             GroupSpec(
                 group_id=gid,
@@ -271,16 +273,18 @@ def _compile_groups(tasks, temps, settings, kind, shared) -> CompiledProgram:
 
     _check_group_separation(groups)
 
+    couplings = blocks[0] if len(blocks) == 1 else np.vstack(blocks)
+    couplings.setflags(write=False)  # so that the device holds it as is
     config = DeviceConfig(
         frequencies=np.concatenate(freq_blocks),
         temperatures=temps,
-        couplings=blocks[0] if len(blocks) == 1 else np.vstack(blocks),
+        couplings=couplings,
         group_ids=np.concatenate(group_ids),
     )
     with np.errstate(all="ignore"):  # builds the table: w/T_FLOOR may overflow
         for i, g in enumerate(groups):
             occ = config.occupancies[g.mode_indices[0] : g.mode_indices[-1] + 1, 1:]
-            dev = _group_deviation(occ, g.input_occupancies)
+            dev = _by_row_blocks(lambda o: _group_deviation(o, g.input_occupancies), occ)
             groups[i] = replace(g, max_occupancy_dev=max(0.0, *dev.tolist()))
     return CompiledProgram(
         config=config,
@@ -384,31 +388,36 @@ def estimate_encoding_error(program: CompiledProgram) -> np.ndarray:
     return bounds
 
 
-def _decode_modes(program: CompiledProgram, flows: FlowReport, mode_indices):
+def _decode_modes(program: CompiledProgram, drain, mode_indices):
     idx = np.array(mode_indices, dtype=int)
     g0 = program.config.couplings[idx, 0]
     zero = idx[g0 <= 0.0]
     if zero.size:
         raise ConfigError(f"mode {zero[0]} has zero drain coupling; decode undefined")
-    j0 = flows.per_channel[idx, 0]
+    j0 = drain[idx]
     w = program.config.frequencies[idx]
     return program.row_scales[idx] * (-j0 / (w * g0)), j0
 
 
 def decode_scalar_product(program: CompiledProgram, flows: FlowReport) -> DecodedResult:
     """Read the scalar product off the drain flow: row_scale * (-J_0 / (w gamma_0))."""
-    values, raw = _decode_modes(program, flows, program.groups[0].mode_indices[:1])
+    drain = flows.per_channel[:, 0]
+    values, raw = _decode_modes(program, drain, program.groups[0].mode_indices[:1])
     bound = estimate_encoding_error(program)[:1]
     return DecodedResult(values=values, raw_flows=raw, error_bound=bound)
 
 
 def decode_matvec(program: CompiledProgram, flows: FlowReport) -> DecodedResult:
     """Per-mode decode assembled into the output vector, with per-entry bounds."""
+    return _decode_matvec(program, flows.per_channel[:, 0])
+
+
+def _decode_matvec(program: CompiledProgram, drain) -> DecodedResult:
     if len(program.groups) != 1:
         raise ConfigError(
             "decode_matvec expects a single group; use parallel_group_products"
         )
-    values, raw = _decode_modes(program, flows, program.groups[0].mode_indices)
+    values, raw = _decode_modes(program, drain, program.groups[0].mode_indices)
     return DecodedResult(
         values=values, raw_flows=raw, error_bound=estimate_encoding_error(program)
     )
@@ -420,7 +429,7 @@ def parallel_group_products(program: CompiledProgram, flows: FlowReport):
     bounds = estimate_encoding_error(program)
     results = []
     for group in program.groups:
-        values, raw = _decode_modes(program, flows, group.mode_indices)
+        values, raw = _decode_modes(program, flows.per_channel[:, 0], group.mode_indices)
         results.append(
             DecodedResult(
                 values=values,
@@ -440,9 +449,9 @@ def signed_split(a):
 
 
 def run_matvec(p, b, **settings) -> DecodedResult:
-    """Convenience end-to-end pipeline: encode, solve stationary flows, decode."""
+    """Convenience end-to-end pipeline: encode, solve the drain flows, decode."""
     program = encode_matvec(p, b, **settings)
-    return decode_matvec(program, physics.stationary_flows(program.config))
+    return _decode_matvec(program, physics.drain_flows(program.config))
 
 
 def encode_signed_matvec(a, b, **settings):
@@ -456,6 +465,8 @@ def encode_signed_matvec(a, b, **settings):
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ConfigError("matrix must be 2-D")
+    if not np.isfinite(a.sum(axis=1)).all():  # the split would turn NaN into 0
+        raise ConfigError("matrix entries must be finite, with finite row sums")
     if np.any(np.all(a == 0.0, axis=1)):
         raise ConfigError("matrix has an all-zero row")
     s = EncodeSettings(**settings)
@@ -488,7 +499,7 @@ def signed_matvec(a, b, **settings) -> DecodedResult:
     runs through the non-negative pipeline and the error bounds of the parts add."""
     parts = encode_signed_matvec(a, b, **settings)
     decoded = [
-        (sign, rows, decode_matvec(program, physics.stationary_flows(program.config)))
+        (sign, rows, _decode_matvec(program, physics.drain_flows(program.config)))
         for sign, rows, program in parts
     ]
     return combine_signed(np.asarray(a).shape[0], decoded)

@@ -22,6 +22,9 @@ T_FLOOR = 1e-9
 OCCUPANCY_FLUSH = 1e-300
 _X_FLUSH = 690.77552789821368
 
+# Entries of a row block of _by_row_blocks: 128 KB temporaries, whatever K.
+_BLOCK_ENTRIES = 16384
+
 
 class ConfigError(ValueError):
     """Invalid physical configuration or out-of-domain argument."""
@@ -78,6 +81,9 @@ def inverse_temperature(frequency, occupancy):
 
 
 def _read_only(values, dtype=float) -> np.ndarray:
+    if isinstance(values, np.ndarray) and values.dtype == dtype:
+        if values.flags.owndata and not values.flags.writeable:  # as encode's
+            return values
     array = np.array(values, dtype=dtype)
     array.setflags(write=False)
     return array
@@ -91,7 +97,8 @@ class DeviceConfig:
     frequency groups (default 1). temperatures (n+1,) are the reservoirs';
     reservoir 0 is the cold drain. couplings (K, n+1) is the dissipation-rate
     matrix, entry [kappa][j] = rate of mode kappa into reservoir j. Validated
-    once at construction; all operations on a config are pure.
+    once at construction; all operations on a config are pure. An input that is
+    already a read-only array owning its data is held as is, any other copied.
     """
 
     frequencies: np.ndarray
@@ -167,7 +174,22 @@ def stationary_state(config: DeviceConfig):
     occ = config.occupancies
     g = config.couplings
     rates = g.sum(axis=1)
-    return occ, rates, (g * occ).sum(axis=1) / rates
+    return occ, rates, _by_row_blocks(lambda g, n: (g * n).sum(axis=1), g, occ) / rates
+
+
+def _by_row_blocks(reduce_rows, *tables):
+    """reduce_rows(*tables), which reduces each row of the (K, N) tables on its
+    own, computed block by block of rows: the same bits, smaller temporaries."""
+    step = max(1, _BLOCK_ENTRIES // max(1, tables[0].shape[1]))
+    starts = range(0, max(1, len(tables[0])), step)
+    blocks = [reduce_rows(*(t[i : i + step] for t in tables)) for i in starts]
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+
+def drain_flows(config: DeviceConfig) -> np.ndarray:
+    """J[:, 0] = w gamma[:, 0] (n_0 - n_tilde), bit for bit stationary_flows'."""
+    occ, _, n_tilde = stationary_state(config)
+    return config.frequencies * config.couplings[:, 0] * (occ[:, 0] - n_tilde)
 
 
 def stationary_flows(config: DeviceConfig) -> FlowReport:

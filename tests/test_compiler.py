@@ -324,6 +324,45 @@ class TestSignedMatvec:
         np.testing.assert_array_equal(plus - minus, a)
 
 
+NON_FINITE_ROWS = {
+    "nan": [1.0, np.nan, 0.5],
+    "all-nan": [np.nan, np.nan, np.nan],
+    "inf": [1.0, np.inf, 0.5],
+    "-inf": [1.0, -np.inf, 0.5],
+    "overflow": [1e308, 1e308, 0.5],
+    # the signed row sums to 1e308; its plus part's sum overflows
+    "part-overflow": [1e308, -1e308, 1e308],
+}
+
+
+@pytest.mark.parametrize("row", NON_FINITE_ROWS.values(), ids=NON_FINITE_ROWS)
+@pytest.mark.parametrize("signed", [False, True], ids=["matvec", "signed"])
+def test_non_finite_matrix_rejected(signed, row):
+    if signed:
+        a, run = np.array([row, [1.0, -1.0, 0.5]]), signed_matvec
+    else:
+        a, run = np.abs([row, [1.0, 1.0, 0.5]]), run_matvec
+    # an overflowing row sum warns (and raises under the CLI's errstate)
+    with np.errstate(over="ignore"):
+        with pytest.raises(ConfigError, match="matrix entries must be finite"):
+            run(a, [1.0, 2.0, 3.0])
+
+
+def test_device_holds_encodes_coupling_block():
+    """A device copied from an encoded one shares its read-only couplings: the
+    device held encode's block as it was, with one group or several."""
+    a, b = np.array([[0.5, 0.5], [0.2, 0.8]]), np.array([1.0, 2.0])
+    for program in (
+        encode_matvec(a, b),
+        encode_parallel_matvec([(a, 1.0), (a, 3.0)], b),
+    ):
+        couplings = program.config.couplings
+        assert couplings.flags.owndata and not couplings.flags.writeable
+        assert physics.DeviceConfig(
+            program.config.frequencies, program.config.temperatures, couplings
+        ).couplings is couplings
+
+
 class TestParallelGroups:
     def test_second_group_sees_reevaluated_input(self):
         p = np.array([[0.5, 0.5], [0.2, 0.8]])

@@ -637,6 +637,68 @@ def test_shared_table_matches_fresh_temporaries():
             )
 
 
+def drain_case(name, signed):
+    """(matrix, vector, settings) of a named case of the drain readout tests."""
+    if name == "degenerate":  # a floored 0 at 1e-300 leaves no spread
+        a = np.array([[1.0, 0.5], [0.5, -1.0 if signed else 1.0], [0.25, 1.0]])
+        return a, np.array([0.0, 1.0]), {"occupancy_floor": 1e-300}
+    m, n, settings = {
+        "m=1": (1, 40, {}),
+        "n=1": (16, 1, {}),
+        "zero-input": (16, 16, {}),
+        "total-rate": (16, 16, OVERRIDES),
+        "1024x256": (1024, 256, {}),
+    }[name]
+    a, b = problem(m * 1000 + n, m, n, signed)
+    return a, (np.zeros(n) if name == "zero-input" else b), settings
+
+
+DRAIN_CASES = ["m=1", "n=1", "zero-input", "degenerate", "total-rate", "1024x256"]
+
+
+@pytest.mark.parametrize("signed", [False, True], ids=["matvec", "signed"])
+@pytest.mark.parametrize("name", DRAIN_CASES)
+def test_pipelines_match_decode_of_flow_table(name, signed):
+    """run_matvec and signed_matvec, which decode from the drain column alone,
+    against decode_matvec of the whole flow table."""
+    a, b, settings = drain_case(name, signed)
+    if signed:
+        parts = compiler.encode_signed_matvec(a, b, **settings)
+        result = compiler.signed_matvec(a, b, **settings)
+    else:
+        parts = [(1.0, np.arange(len(a)), compiler.encode_matvec(a, b, **settings))]
+        result = compiler.run_matvec(a, b, **settings)
+    decoded = [
+        (sign, rows, compiler.decode_matvec(p, physics.stationary_flows(p.config)))
+        for sign, rows, p in parts
+    ]
+    expected = compiler.combine_signed(len(a), decoded) if signed else decoded[0][2]
+    for field in ("values", "raw_flows", "error_bound"):
+        assert_same(getattr(result, field), getattr(expected, field))
+
+
+def test_drain_flows_match_flow_table():
+    """drain_flows against the drain column of stationary_flows and of the
+    fresh-temporary reference, on devices of several groups and on ones whose
+    row-blocked reductions take many blocks of wide or narrow rows."""
+    a, b = problem(31, 257, 16)
+    a2, _ = problem(32, 7, 16)
+    settings = {k: v for k, v in OVERRIDES.items() if k != "base_frequency"}
+    programs = [
+        compiler.encode_parallel_matvec([(a, 1.0), (a2, 3.0)], b, **settings),
+        compiler.encode_matvec(*problem(33, 1024, 256)),
+        compiler.encode_matvec(*problem(34, 20000, 1)),
+    ]
+    programs += [compiler.encode_matvec(a, b, **s) for a, b, s in wide_problems(35, 20)]
+    for program in programs:
+        config = program.config
+        table = physics.stationary_flows(config).per_channel
+        assert_same(table, ref_flows(config))
+        assert_same(physics.drain_flows(config), table[:, 0])
+        for group in program.groups:
+            assert group.max_occupancy_dev == ref_max_occupancy_dev(program, group)
+
+
 def settling_configs():
     """Compiled and random devices with initial occupancies: empty, random, and
     some or all modes starting at their fixed point."""
@@ -864,3 +926,17 @@ def test_export_netlist_peak_memory_within_reference():
         tracemalloc.stop()
     assert text == ref_netlist(crossbar)
     assert peak <= ref_peak
+
+
+def test_run_matvec_peak_memory_within_three_devices():
+    """One run_matvec at 1024x256 holds at most three device-size arrays at a
+    time: the coupling block, the occupancy table and small temporaries."""
+    a, b = problem(1024, 1024, 256)
+    compiler.run_matvec(a, b)
+    tracemalloc.start()
+    try:
+        compiler.run_matvec(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.0 * a.shape[0] * (a.shape[1] + 1) * 8

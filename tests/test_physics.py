@@ -155,6 +155,32 @@ class TestConfigValidation:
             with pytest.raises(ValueError):
                 getattr(config, name)[0] = 0
 
+    def test_copies_a_callers_array_it_does_not_own(self):
+        couplings = np.ones((2, 2))
+        view = couplings[:]
+        view.setflags(write=False)  # read-only, but its base stays writable
+        for given in (couplings, view):
+            config = DeviceConfig([1.0, 2.0], [T_FLOOR, 1.0], given)
+            couplings[0, 1] = 5.0
+            np.testing.assert_array_equal(config.couplings, np.ones((2, 2)))
+            couplings[0, 1] = 1.0
+
+    def test_holds_a_read_only_array_that_owns_its_data(self):
+        couplings = np.ones((2, 2))
+        couplings.setflags(write=False)
+        assert DeviceConfig([1.0, 2.0], [T_FLOOR, 1.0], couplings).couplings is couplings
+
+    @pytest.mark.parametrize(
+        "couplings",
+        [[[1.0, math.nan]], [[1.0, -1.0]], [[1.0, 1.0, 1.0]]],
+        ids=["nan", "negative", "shape"],
+    )
+    def test_checks_a_read_only_array_it_holds(self, couplings):
+        couplings = np.array(couplings)
+        couplings.setflags(write=False)
+        with pytest.raises(ConfigError):
+            DeviceConfig([1.0], [T_FLOOR, 1.0], couplings)
+
 
 def normalized_couplings(config):
     """Mode 0's couplings normalized by the total rate stationary_state gives."""
