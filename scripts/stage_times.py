@@ -6,7 +6,9 @@ For each size (16x16, 64x64, 256x256, 1024x256) and kind (`matvec`,
 - `encode`: `encode_matvec`, or `encode_signed_matvec` for both parts;
 - `solve_spread`: the `_solve_spread` calls that encode makes, recorded from an
   untimed encode (one per multi-row part, or one for a signed product whose
-  parts share it);
+  parts share it). Its records also hold `calls_per_solve` and
+  `points_per_solve`: the spread predicate's calls and the deltas they
+  evaluate, per solve, counted through `compiler._bose` in one untimed round;
 - `stationary_flows`: `stationary_flows` of each part's device;
 - `drain_readout`: the drain column the pipelines decode from, for each part:
   `drain_flows`, or on a tree without it (before it was added) the first
@@ -21,7 +23,8 @@ occupancy table a device computes once is built inside each timed call. Each
 stage runs once to warm up and then REPEATS times. `minflt_per_call` is the
 mean count of minor page faults this process took inside a timed call
 (`getrusage(RUSAGE_SELF).ru_minflt` around it). The output is a JSON list of
-records `{stage, size, kind, median_s, iqr_s, minflt_per_call, commit}`.
+records `{stage, size, kind, median_s, iqr_s, minflt_per_call, commit}`, the
+`solve_spread` ones with the two counts added.
 Records already in --out under another commit are kept, so one file can hold a
 parent and a change:
 
@@ -81,8 +84,24 @@ def _times(fn, args=tuple):
     return out, faults / REPEATS
 
 
+def _spread_counts(compiler, solve_spread, solves: int) -> dict:
+    """Spread predicate calls and the deltas they evaluate, per solve, counted
+    through compiler._bose: each call builds one (2, deltas, n) table."""
+    bose, sizes = compiler._bose, []
+    compiler._bose = lambda x: sizes.append(x.size // (2 * x.shape[-1])) or bose(x)
+    try:
+        solve_spread()
+    finally:
+        compiler._bose = bose
+    return {
+        "calls_per_solve": len(sizes) / solves,
+        "points_per_solve": sum(sizes) / solves,
+    }
+
+
 def _stages(kind: str, matrix, vector):
-    """{stage: (callable, untimed argument maker)} for one problem."""
+    """{stage: (callable, untimed argument maker)} for one problem, and the
+    spread solve's counts."""
     from thermoflow import compiler, dynamics, physics
 
     if kind == "matvec":
@@ -121,7 +140,7 @@ def _stages(kind: str, matrix, vector):
         for config in configs:
             dynamics.settling_time(config, np.zeros(config.n_modes), 1e-6)
 
-    return {
+    stages = {
         "encode": (encode, tuple),
         "solve_spread": (solve_spread, tuple),
         "stationary_flows": (stationary_flows, fresh_configs),
@@ -129,6 +148,7 @@ def _stages(kind: str, matrix, vector):
         "settling_time": (settling_time, fresh_configs),
         "run_matvec": (run, tuple),
     }
+    return stages, _spread_counts(compiler, solve_spread, len(spreads))
 
 
 def _commit(src: str) -> str:
@@ -158,7 +178,8 @@ def main() -> int:
     records = [r for r in records if r["commit"] != commit]
     for seed, ((m, n), kind) in enumerate((s, k) for s in SIZES for k in KINDS):
         matrix, vector = _problem(kind, m, n, seed)
-        for stage, (fn, args) in _stages(kind, matrix, vector).items():
+        stages, counts = _stages(kind, matrix, vector)
+        for stage, (fn, args) in stages.items():
             times, faults = _times(fn, args)
             q25, median, q75 = np.percentile(times, [25, 50, 75])
             records.append(
@@ -170,6 +191,7 @@ def main() -> int:
                     "iqr_s": float(q75 - q25),
                     "minflt_per_call": faults,
                     "commit": commit,
+                    **(counts if stage == "solve_spread" else {}),
                 }
             )
             print(

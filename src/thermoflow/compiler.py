@@ -48,6 +48,9 @@ class EncodeSettings:
     occupancy_floor: float = 1e-12
 
     def validate(self):
+        for name in ("base_frequency", "total_rate", "occupancy_floor"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
         if self.base_frequency <= 0.0:
             raise ConfigError("base_frequency must be positive")
         if not 0.0 < self.drain_ratio <= 0.01:
@@ -110,7 +113,7 @@ def _check_matrix(p: np.ndarray) -> np.ndarray:
     sums = p.sum(axis=1)
     if not np.isfinite(sums).all():  # also where an entry is NaN or infinite
         raise ConfigError("matrix entries must be finite, with finite row sums")
-    if np.any(sums <= 0.0):
+    if (sums <= 0.0).any():
         raise ConfigError("matrix has an all-zero row")
     return sums
 
@@ -130,20 +133,29 @@ def _group_deviation(occ, base_occ):
 # Upper end of the spread bisection: frequencies stay within w(1 +- 0.9).
 _MAX_SPREAD = 0.9
 
+# Relative offsets of the guess ladder, ascending: 1 -+ 10**-k, k = 8..14.
+_LADDER = np.array([-1e-8, -1e-9, -1e-10, -1e-11, -1e-12, -1e-13, -1e-14])
+_LADDER = np.concatenate((_LADDER, -_LADDER[::-1]))
 
-def _solve_spread(base_frequency, temperatures, group_tol):
+
+def _solve_spread(base_frequency, temperatures, group_tol, base_occ=None):
     """Largest relative half-width delta such that reservoir occupancies across
-    [w(1-delta), w(1+delta)] stay within group_tol of their base values.
+    [w(1-delta), w(1+delta)] stay within group_tol of their base values
+    base_occ, bose_occupancy(w, temperatures[1:]) unless given.
 
     An 80-step bisection on [0, 0.9]; falls back to delta = 0 (degenerate,
     exactly equal frequencies) when even a vanishing spread violates the
     tolerance. The deviation grows monotonically with delta, so each step just
-    compares its midpoint with the predicate's float threshold, which batched
-    calls find within 1e-8 relative of the closed-form _spread_guess. When the
-    final bracket checks out (lo within the tolerance, hi not), the result is
-    bit for bit the plain bisection's; otherwise that runs, one call a step.
+    compares its midpoint with the predicate's float threshold. Batched calls
+    find it from the ladder guess * (1 + _LADDER) around the closed-form
+    _spread_guess. When the final bracket checks out (lo within the tolerance,
+    hi not, both already evaluated when they are the threshold and the next
+    double), the result is bit for bit the plain bisection's; otherwise, or
+    when the ladder's answers are not True then False, that runs, one call a
+    step.
     """
-    base_occ = bose_occupancy(base_frequency, temperatures[1:])
+    if base_occ is None:
+        base_occ = bose_occupancy(base_frequency, temperatures[1:])
 
     def within(deltas):  # for each delta; skips a NaN deviation, as encode does
         freqs = base_frequency * (1.0 + np.multiply.outer((-1.0, 1.0), deltas))
@@ -152,18 +164,22 @@ def _solve_spread(base_frequency, temperatures, group_tol):
 
     with np.errstate(all="ignore"):
         guess = _spread_guess(base_occ, group_tol)
-        window = [guess * (1.0 - 1e-8), guess * (1.0 + 1e-8)]
-        ok = within([1e-13, _MAX_SPREAD, *window]).tolist()
+        ladder = (guess * (1.0 + _LADDER)).tolist()
+        ok = within([1e-13, _MAX_SPREAD, *ladder]).tolist()
         if not ok[0]:
             return 0.0, True
         if ok[1]:
             return _MAX_SPREAD, False
-        if guess > 0.0 and ok[2:] == [True, False]:
+        count = sum(ok[2:])
+        if guess > 0.0 and 0 < count < len(ladder) and all(ok[2 : 2 + count]):
             # k points a call: its fixed cost is about 256 // n points' work (x86-64)
-            t = _threshold(within, *window, max(4, min(32, 256 // base_occ.size)))
+            k = max(4, min(32, 256 // base_occ.size))
+            t = _threshold(within, *ladder[count - 1 : count + 1], k)
             if t is not None:
-                lo, hi = _bisect(lambda mid: mid <= t)
-                if within([lo, hi]).tolist() == [True, False]:
+                lo, hi = _bisect(t)
+                # the search itself found t within the tolerance, the next double not
+                seen = (lo, hi) == (t, math.nextafter(t, 1.0))
+                if seen or within([lo, hi]).tolist() == [True, False]:
                     return lo, False
         return _bisect(within)[0], False
 
@@ -197,11 +213,13 @@ def _spread_guess(base_occ, group_tol):
 
 def _bisect(decide):
     """Final (lo, hi) of 80 bisection steps on [0, _MAX_SPREAD]: a midpoint
-    where decide holds becomes lo, any other hi."""
+    where decide holds becomes lo, any other hi. decide is a predicate, or a
+    float threshold t that decides mid <= t without a call per step."""
     lo, hi = 0.0, _MAX_SPREAD
+    known = isinstance(decide, float)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if decide(mid):
+        if mid <= decide if known else decide(mid):
             lo = mid
         else:
             hi = mid
@@ -214,7 +232,7 @@ def _temperatures(b, s: EncodeSettings) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if b.ndim != 1:
         raise ConfigError("input vector must be 1-D")
-    if np.any(b < 0.0):
+    if (b < 0.0).any():
         raise ConfigError("input vector entries must be non-negative")
     temps = inverse_temperature(s.base_frequency, np.maximum(b, s.occupancy_floor))
     return np.concatenate(([T_FLOOR], temps))
@@ -244,7 +262,7 @@ def _compile_groups(tasks, temps, settings, kind, shared) -> CompiledProgram:
         if m == 1:
             spread, degenerate, deltas = 0.0, False, np.zeros(1)
         else:
-            solved = solved or _solve_spread(w_g, temps, settings.group_tol)
+            solved = solved or _solve_spread(w_g, temps, settings.group_tol, input_occ)
             spread, degenerate = solved
             deltas = np.linspace(-spread, spread, m)
         shared[w_g] = input_occ, solved
@@ -273,14 +291,15 @@ def _compile_groups(tasks, temps, settings, kind, shared) -> CompiledProgram:
 
     _check_group_separation(groups)
 
-    couplings = blocks[0] if len(blocks) == 1 else np.vstack(blocks)
-    couplings.setflags(write=False)  # so that the device holds it as is
-    config = DeviceConfig(
-        frequencies=np.concatenate(freq_blocks),
-        temperatures=temps,
-        couplings=couplings,
-        group_ids=np.concatenate(group_ids),
-    )
+    arrays = [
+        np.concatenate(freq_blocks),
+        temps,
+        blocks[0] if len(blocks) == 1 else np.vstack(blocks),
+        np.concatenate(group_ids),
+    ]
+    for array in arrays:
+        array.setflags(write=False)  # so that the device holds it as is
+    config = DeviceConfig(*arrays)
     with np.errstate(all="ignore"):  # builds the table: w/T_FLOOR may overflow
         for i, g in enumerate(groups):
             occ = config.occupancies[g.mode_indices[0] : g.mode_indices[-1] + 1, 1:]
@@ -442,10 +461,15 @@ def parallel_group_products(program: CompiledProgram, flows: FlowReport):
 
 def signed_split(a):
     """Split A into non-negative parts with A = A_plus - A_minus exactly."""
-    a = np.asarray(a, dtype=float)
+    return tuple(part for _, part in _signed_parts(np.asarray(a, dtype=float)))
+
+
+def _signed_parts(a):
+    """(1.0, A_plus), then (-1.0, A_minus), each part built when it is asked for."""
+    yield 1.0, np.where(a > 0.0, a, 0.0)
     minus = np.subtract(0.0, a)  # never -0.0; fmax then zeroes NaN as np.where does
     np.fmax(minus, 0.0, out=minus)
-    return np.where(a > 0.0, a, 0.0), minus
+    yield -1.0, minus
 
 
 def run_matvec(p, b, **settings) -> DecodedResult:
@@ -460,23 +484,25 @@ def encode_signed_matvec(a, b, **settings):
     Returns [(sign, rows, program)] for the parts with at least one non-zero
     row; program computes that part's rows `rows` (in ascending order) against
     b. All-zero rows of a part contribute exactly 0 with zero bound, so they
-    are left out of its program. The parts share one spread solve.
+    are left out of its program. The parts share one spread solve and are
+    built and compiled one at a time.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ConfigError("matrix must be 2-D")
     if not np.isfinite(a.sum(axis=1)).all():  # the split would turn NaN into 0
         raise ConfigError("matrix entries must be finite, with finite row sums")
-    if np.any(np.all(a == 0.0, axis=1)):
+    if (a == 0.0).all(axis=1).any():
         raise ConfigError("matrix has an all-zero row")
     s = EncodeSettings(**settings)
     temps, shared, parts = _temperatures(b, s), {}, []
-    for sign, part in zip((1.0, -1.0), signed_split(a)):
+    for sign, part in _signed_parts(a):
         rows = np.flatnonzero(part.any(axis=1))  # a part holds no -0.0 or NaN
         if rows.size:
-            tasks = [(part if rows.size == len(part) else part[rows], s.base_frequency)]
-            program = _compile_groups(tasks, temps, s, "matvec", shared)
-            parts.append((sign, rows, program))
+            task = (part if rows.size == len(part) else part[rows], s.base_frequency)
+            parts.append((sign, rows, _compile_groups([task], temps, s, "matvec", shared)))
+            del task
+        del part  # so that the next part is built without this one held
     return parts
 
 

@@ -38,9 +38,9 @@ def bose_occupancy(frequency, temperature):
     """
     f = np.asarray(frequency, dtype=float)
     t = np.asarray(temperature, dtype=float)
-    if np.any(f <= 0.0):
+    if (f <= 0.0).any():
         raise ConfigError("frequency must be positive")
-    if np.any(t <= 0.0):
+    if (t <= 0.0).any():
         raise ConfigError("temperature must be positive")
     occ = _bose(f / t)
     if occ.ndim == 0:
@@ -70,9 +70,9 @@ def inverse_temperature(frequency, occupancy):
     """
     f = np.asarray(frequency, dtype=float)
     b = np.asarray(occupancy, dtype=float)
-    if np.any(f <= 0.0):
+    if (f <= 0.0).any():
         raise ConfigError("frequency must be positive")
-    if np.any(b <= 0.0):
+    if (b <= 0.0).any():
         raise ConfigError("occupancy must be positive")
     t = f / np.log1p(1.0 / b)
     if t.ndim == 0:
@@ -119,16 +119,17 @@ class DeviceConfig:
             )
         if ids.shape != w.shape:
             raise ConfigError(f"group_ids need one entry per mode ({w.size})")
-        if not np.all((w > 0.0) & (w < np.inf)):
+        # min and max (NaN propagates) over an empty array give the initial values
+        if not (w.min(initial=np.inf) > 0.0 and w.max(initial=0.0) < np.inf):
             raise ConfigError("mode frequency must be finite and positive")
-        bad = t[~((t >= T_FLOOR) & (t < np.inf))]
-        if bad.size:
+        if not (t.min(initial=np.inf) >= T_FLOOR and t.max(initial=0.0) < np.inf):
+            bad = t[~((t >= T_FLOOR) & (t < np.inf))][0]
             raise ConfigError(
-                f"reservoir temperature {bad[0]} not finite or below floor {T_FLOOR}"
+                f"reservoir temperature {bad} not finite or below floor {T_FLOOR}"
             )
-        if not np.all((g >= 0.0) & (g < np.inf)):
+        if not (g.min(initial=np.inf) >= 0.0 and g.max(initial=0.0) < np.inf):
             raise ConfigError("couplings must be finite and non-negative")
-        if np.any(g.sum(axis=1) <= 0.0):
+        if g.sum(axis=1).min(initial=np.inf) <= 0.0:
             raise ConfigError("every mode needs at least one positive coupling")
         object.__setattr__(self, "frequencies", w)
         object.__setattr__(self, "temperatures", t)

@@ -203,6 +203,24 @@ class TestCompile:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["compile", "run", "circuit", "transient"])
+    @pytest.mark.parametrize("setting", ["base_frequency", "total_rate", "occupancy_floor"])
+    @pytest.mark.parametrize("value", [NAN, INF, -INF], ids=["nan", "inf", "-inf"])
+    def test_non_finite_setting_is_validation_error(
+        self, tmp_path, capsys, command, setting, value
+    ):
+        doc = {
+            "kind": "matvec",
+            "matrix": [[0.5, 0.5], [0.2, 0.8]],
+            "vector": [1.0, 2.0],
+            "settings": {setting: value},
+        }
+        path = write_doc(tmp_path, "bad.json", doc)
+        assert main([command, path]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {setting} must be finite\n"
+
     @pytest.mark.parametrize("kind", ["matvec", "signed_matvec"])
     def test_golden_compiled_document(self, tmp_path, kind):
         path = write_doc(tmp_path, "problem.json", golden_compile_problem(kind))

@@ -348,6 +348,23 @@ def test_non_finite_matrix_rejected(signed, row):
             run(a, [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("name", ["base_frequency", "total_rate", "occupancy_floor"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("signed", [False, True], ids=["matvec", "signed"])
+def test_non_finite_setting_rejected(signed, name, value):
+    a, run = ([[0.5, -0.5]], signed_matvec) if signed else ([[0.5, 0.5]], run_matvec)
+    with pytest.raises(ConfigError, match=f"^{name} must be finite$"):
+        run(a, [1.0, 2.0], **{name: value})
+
+
+def test_non_finite_parallel_setting_rejected():
+    a = [[0.5, 0.5]]
+    with pytest.raises(ConfigError, match="^base_frequency must be finite$"):
+        encode_parallel_matvec([(a, np.inf), (a, 3.0)], [1.0, 2.0])
+    with pytest.raises(ConfigError, match="^total_rate must be finite$"):
+        encode_parallel_matvec([(a, 1.0), (a, 3.0)], [1.0, 2.0], total_rate=np.nan)
+
+
 def test_device_holds_encodes_coupling_block():
     """A device copied from an encoded one shares its read-only couplings: the
     device held encode's block as it was, with one group or several."""

@@ -482,8 +482,70 @@ def test_spread_solve_calls_are_few(monkeypatch):
         calls[0] = 0
         compiler._solve_spread(1.0, temps, 1e-3)
         per_solve.append(calls[0])
-    assert max(per_solve) <= 10
+    assert max(per_solve) <= 5
     assert not any(plain)
+
+
+def recorded_spread_solves(monkeypatch):
+    """Record, in call order, the number of deltas each spread predicate call
+    evaluates (one _bose table each) and, as None, each compiler._bisect call
+    given a float threshold."""
+    log = []
+    bose, bisect = compiler._bose, compiler._bisect
+
+    def recorded_bose(x):
+        log.append(x.size // (2 * x.shape[-1]))  # within's (2, deltas, n) table
+        return bose(x)
+
+    def recorded_bisect(decide):
+        if isinstance(decide, float):
+            log.append(None)
+        return bisect(decide)
+
+    monkeypatch.setattr(compiler, "_bose", recorded_bose)
+    monkeypatch.setattr(compiler, "_bisect", recorded_bisect)
+    return log
+
+
+def test_spread_solve_calls_and_points_at_1024_inputs(monkeypatch):
+    """At n = 1024 the search makes few calls on few points: per-point work,
+    not the per-call cost, dominates there."""
+    log = recorded_spread_solves(monkeypatch)
+    rng = np.random.default_rng(86)
+    for _ in range(10):
+        b = rng.uniform(1e-6, 10.0, 1024)
+        b[rng.random(1024) < 0.1] = 0.0
+        temps = np.concatenate(([T_FLOOR], inverse_temperature(1.0, np.maximum(b, 1e-12))))
+        log.clear()
+        assert compiler._solve_spread(1.0, temps, 1e-3) == ref_solve_spread(1.0, temps, 1e-3)
+        assert None in log  # the search found the threshold
+        sizes = [size for size in log if size is not None]
+        assert len(sizes) <= 8
+        assert sum(sizes) <= 51
+
+
+@pytest.mark.parametrize("bracket", ["wider", "collapsed"])
+def test_spread_solve_certifies_a_bracket_it_has_not_evaluated(monkeypatch, bracket):
+    """The certificate call is skipped only for the bracket (t, next double
+    after t), whose ends the search evaluated. A wider bracket is certified
+    (one call of two deltas); a collapsed one fails it, and the plain
+    bisection runs."""
+    log = recorded_spread_solves(monkeypatch)
+    bisect = compiler._bisect
+
+    def other_bracket(decide):
+        lo, hi = bisect(decide)
+        if not isinstance(decide, float):
+            return lo, hi
+        return (lo, math.nextafter(hi, 1.0)) if bracket == "wider" else (lo, lo)
+
+    monkeypatch.setattr(compiler, "_bisect", other_bracket)
+    for w, temps, tol in spread_cases(85, 60):
+        log.clear()
+        assert compiler._solve_spread(w, temps, tol) == ref_solve_spread(w, temps, tol)
+        # the search found every case's threshold; the calls after it
+        after = log[log.index(None) + 1 :]
+        assert after == ([2] if bracket == "wider" else [2] + [1] * 80)
 
 
 def bits(*deltas):
@@ -940,3 +1002,18 @@ def test_run_matvec_peak_memory_within_three_devices():
     finally:
         tracemalloc.stop()
     assert peak <= 3.0 * a.shape[0] * (a.shape[1] + 1) * 8
+
+
+def test_signed_matvec_peak_memory_within_five_and_a_half_devices():
+    """One signed_matvec at 1024x256 builds and compiles one split part at a
+    time: it holds both parts' devices (coupling block and occupancy table
+    each) and one split part, never both."""
+    a, b = problem(1025, 1024, 256, signed=True)
+    compiler.signed_matvec(a, b)
+    tracemalloc.start()
+    try:
+        compiler.signed_matvec(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * a.shape[0] * (a.shape[1] + 1) * 8
