@@ -219,7 +219,7 @@ def _bisect(decide):
     known = isinstance(decide, float)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if mid <= decide if known else decide(mid):
+        if (mid <= decide) if known else decide(mid):
             lo = mid
         else:
             hi = mid
