@@ -19,20 +19,24 @@ For each size (16x16, 64x64, 256x256, 1024x256) and kind (`matvec`,
 
 `stationary_flows`, `drain_readout` and `settling_time` get a fresh copy of
 each device on every call, made outside the timed region, so that the
-occupancy table a device computes once is built inside each timed call. Each
-stage runs once to warm up and then REPEATS times. `minflt_per_call` is the
-mean count of minor page faults this process took inside a timed call
-(`getrusage(RUSAGE_SELF).ru_minflt` around it). The output is a JSON list of
-records `{stage, size, kind, median_s, iqr_s, minflt_per_call, commit}`, the
-`solve_spread` ones with the two counts added.
-Records already in --out under another commit are kept, so one file can hold a
-parent and a change:
+occupancy table a device computes once is built inside each timed call.
 
-    python3 scripts/stage_times.py --src ../parent/src --commit <parent> --out BENCH.json
-    python3 scripts/stage_times.py --out BENCH.json
+Each (size, kind) block runs in a child process of its own, ROUNDS times per
+tree. With --against, the two trees alternate block by block, and which of
+them goes first alternates too, so that load drift on the machine falls on
+both alike. In each child every stage runs once to warm up and then REPEATS
+times; median_s and iqr_s are taken over all rounds' calls.
+`minflt_per_call` is the mean count of minor page faults the child took inside
+a timed call (`getrusage(RUSAGE_SELF).ru_minflt` around it). The output is a
+JSON list of records `{stage, size, kind, median_s, iqr_s, minflt_per_call,
+rounds, commit}`, the `solve_spread` ones with the two counts added. Records
+already in --out under other commits are kept:
 
-Without --commit the commit is `git rev-parse --short HEAD` of the tree --src
-lies in.
+    git clone -q . ../parent && git -C ../parent checkout -q <parent>
+    python3 scripts/stage_times.py --against ../parent/src --out BENCH.json
+
+A tree's commit label is `git describe --always --dirty` of the checkout its
+source directory lies in (`--commit` sets the label of --src instead).
 """
 
 from __future__ import annotations
@@ -51,7 +55,9 @@ import numpy as np
 
 SIZES = [(16, 16), (64, 64), (256, 256), (1024, 256)]
 KINDS = ["matvec", "signed_matvec"]
-REPEATS = 21
+REPEATS = 11
+ROUNDS = 7
+BLOCKS = [(size, kind) for size in SIZES for kind in KINDS]
 
 
 def _problem(kind: str, m: int, n: int, seed: int):
@@ -153,7 +159,7 @@ def _stages(kind: str, matrix, vector):
 
 def _commit(src: str) -> str:
     proc = subprocess.run(
-        ["git", "-C", src, "rev-parse", "--short", "HEAD"],
+        ["git", "-C", src, "describe", "--always", "--dirty", "--abbrev=7"],
         capture_output=True,
         text=True,
         check=True,
@@ -161,43 +167,84 @@ def _commit(src: str) -> str:
     return proc.stdout.strip()
 
 
+def _block_samples(index: int) -> dict:
+    """{stage: {times, faults[, counts]}} of block BLOCKS[index], timed in this
+    process on the thermoflow that sys.path finds first."""
+    (m, n), kind = BLOCKS[index]
+    matrix, vector = _problem(kind, m, n, index)
+    stages, counts = _stages(kind, matrix, vector)
+    samples = {}
+    for stage, (fn, args) in stages.items():
+        times, faults = _times(fn, args)
+        samples[stage] = {"times": times.tolist(), "faults": faults}
+        if stage == "solve_spread":
+            samples[stage].update(counts)
+    return samples
+
+
+def _run_block(src: str, index: int) -> dict:
+    """_block_samples of one block in a child process importing src."""
+    proc = subprocess.run(
+        [sys.executable, __file__, "--src", src, "--block", str(index)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(proc.stdout)
+
+
 def main() -> int:
     repo = Path(__file__).resolve().parents[1]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", required=True, help="JSON file to write or extend")
+    parser.add_argument("--out", help="JSON file to write or extend")
     parser.add_argument(
         "--src", default=str(repo / "src"), help="source tree of the thermoflow to time"
     )
     parser.add_argument("--commit", default=None, help="commit label of --src")
+    parser.add_argument("--against", default=None, help="a second source tree to time")
+    parser.add_argument("--block", type=int, default=None, help=argparse.SUPPRESS)
     args = parser.parse_args()
-    sys.path.insert(0, args.src)
-    commit = args.commit or _commit(args.src)
+    if args.block is not None:  # a child: time one block, print its samples
+        sys.path.insert(0, args.src)
+        print(json.dumps(_block_samples(args.block)))
+        return 0
+    if args.out is None:
+        parser.error("--out is required")
+    trees = [(args.src, args.commit or _commit(args.src))]
+    if args.against:
+        trees.append((args.against, _commit(args.against)))
+
+    pooled = {}  # (commit, block, stage) -> samples of every round
+    for r in range(ROUNDS):
+        for index, ((m, n), kind) in enumerate(BLOCKS):
+            for src, commit in trees[:: 1 if (r + index) % 2 == 0 else -1]:
+                for stage, sample in _run_block(src, index).items():
+                    key = commit, index, stage
+                    into = pooled.setdefault(key, {"times": [], "faults": []})
+                    into["times"] += sample.pop("times")
+                    into["faults"].append(sample.pop("faults"))
+                    into.update(sample)
+                print(f"round {r + 1}: {commit} {kind} {m}x{n}", file=sys.stderr)
 
     out = Path(args.out)
     records = json.loads(out.read_text()) if out.exists() else []
-    records = [r for r in records if r["commit"] != commit]
-    for seed, ((m, n), kind) in enumerate((s, k) for s in SIZES for k in KINDS):
-        matrix, vector = _problem(kind, m, n, seed)
-        stages, counts = _stages(kind, matrix, vector)
-        for stage, (fn, args) in stages.items():
-            times, faults = _times(fn, args)
-            q25, median, q75 = np.percentile(times, [25, 50, 75])
-            records.append(
-                {
-                    "stage": stage,
-                    "size": f"{m}x{n}",
-                    "kind": kind,
-                    "median_s": float(median),
-                    "iqr_s": float(q75 - q25),
-                    "minflt_per_call": faults,
-                    "commit": commit,
-                    **(counts if stage == "solve_spread" else {}),
-                }
-            )
-            print(
-                f"{commit} {kind} {m}x{n} {stage}: {median:.6f} s, {faults:.0f} faults",
-                file=sys.stderr,
-            )
+    records = [r for r in records if r["commit"] not in {c for _, c in trees}]
+    for (commit, index, stage), sample in pooled.items():
+        (m, n), kind = BLOCKS[index]
+        q25, median, q75 = np.percentile(sample.pop("times"), [25, 50, 75])
+        records.append(
+            {
+                "stage": stage,
+                "size": f"{m}x{n}",
+                "kind": kind,
+                "median_s": float(median),
+                "iqr_s": float(q75 - q25),
+                "minflt_per_call": float(np.mean(sample.pop("faults"))),
+                "rounds": ROUNDS,
+                "commit": commit,
+                **sample,
+            }
+        )
     out.write_text(json.dumps(records, indent=2) + "\n")
     return 0
 

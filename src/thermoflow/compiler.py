@@ -11,7 +11,7 @@ recorded row scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -245,7 +245,7 @@ def _compile_groups(tasks, temps, settings, kind, shared) -> CompiledProgram:
     freq_blocks = []
     group_ids = []
     blocks = []
-    groups = []
+    specs = []
     row_scales = []
     row_dots = []
     for gid, (p, w_g) in enumerate(tasks, start=1):
@@ -268,8 +268,9 @@ def _compile_groups(tasks, temps, settings, kind, shared) -> CompiledProgram:
         shared[w_g] = input_occ, solved
         block = np.empty((m, n + 1))
         p_hat = np.divide(p, scales[:, None], out=block[:, 1:])
-        # One dot per row: the gemv p_hat @ input_occ rounds differently.
-        row_dots += [float(row @ input_occ) for row in p_hat]
+        # One ddot per row, as row @ input_occ: the gemv p_hat @ input_occ
+        # rounds differently.
+        row_dots.append(np.matmul(p_hat[:, None, :], input_occ)[:, 0])
         p_hat *= settings.total_rate
         block[:, 0] = settings.drain_ratio * p_hat.sum(axis=1)
         start = sum(map(len, freq_blocks))
@@ -277,19 +278,9 @@ def _compile_groups(tasks, temps, settings, kind, shared) -> CompiledProgram:
         group_ids.append(np.full(m, gid))
         blocks.append(block)
         row_scales.append(scales)
-        groups.append(
-            GroupSpec(
-                group_id=gid,
-                mode_indices=tuple(range(start, start + m)),
-                base_frequency=w_g,
-                spread=spread,
-                max_occupancy_dev=math.nan,  # read off the device's table below
-                degenerate=degenerate,
-                input_occupancies=input_occ,
-            )
-        )
+        specs.append((gid, range(start, start + m), w_g, spread, degenerate, input_occ))
 
-    _check_group_separation(groups)
+    _check_group_separation(specs)
 
     arrays = [
         np.concatenate(freq_blocks),
@@ -301,43 +292,63 @@ def _compile_groups(tasks, temps, settings, kind, shared) -> CompiledProgram:
         array.setflags(write=False)  # so that the device holds it as is
     config = DeviceConfig(*arrays)
     with np.errstate(all="ignore"):  # builds the table: w/T_FLOOR may overflow
-        for i, g in enumerate(groups):
-            occ = config.occupancies[g.mode_indices[0] : g.mode_indices[-1] + 1, 1:]
-            dev = _by_row_blocks(lambda o: _group_deviation(o, g.input_occupancies), occ)
-            groups[i] = replace(g, max_occupancy_dev=max(0.0, *dev.tolist()))
+        groups = tuple(
+            GroupSpec(
+                group_id=gid,
+                mode_indices=tuple(rows),
+                base_frequency=w_g,
+                spread=spread,
+                max_occupancy_dev=_max_deviation(
+                    config.occupancies[rows.start : rows.stop, 1:], input_occ
+                ),
+                degenerate=degenerate,
+                input_occupancies=input_occ,
+            )
+            for gid, rows, w_g, spread, degenerate, input_occ in specs
+        )
     return CompiledProgram(
         config=config,
-        groups=tuple(groups),
+        groups=groups,
         drain_ratio=settings.drain_ratio,
         row_scales=np.concatenate(row_scales),
         occupancy_floor=settings.occupancy_floor,
         target_shape=tuple(np.asarray(tasks[0][0]).shape),
-        row_dots=np.array(row_dots),
+        row_dots=np.concatenate(row_dots),
         kind=kind,
     )
 
 
-def _check_group_separation(groups):
+def _max_deviation(occ, base_occ):
+    """Largest _group_deviation of the rows of occ, skipping a row whose
+    deviation is NaN (0 when every row's is). |x - b| / b is monotone on each
+    side of b under correct rounding, so each column deviates most at its least
+    or greatest occupancy; a NaN anywhere in a column shows there too, and then
+    every row is checked."""
+    dev = _group_deviation(np.stack((occ.min(axis=0), occ.max(axis=0))), base_occ)
+    if np.isnan(dev).any():
+        dev = _by_row_blocks(lambda o: _group_deviation(o, base_occ), occ)
+    return max(0.0, *dev.tolist())
+
+
+def _check_group_separation(specs):
     """Groups must sit at well-separated base frequencies: gaps at least 10x the
-    larger intra-group absolute spread, and frequency intervals disjoint."""
-    if len(groups) < 2:
+    larger intra-group absolute spread, and frequency intervals disjoint. specs
+    holds (group_id, modes, base_frequency, spread, ...) per group."""
+    if len(specs) < 2:
         return
     spans = []
-    for g in groups:
-        half = g.spread * g.base_frequency
-        spans.append((g.base_frequency - half, g.base_frequency + half, g))
+    for gid, _, w, spread, *_ in specs:
+        half = spread * w
+        spans.append((w - half, w + half, gid, w, half))
     spans.sort(key=lambda s: s[0])
-    for (lo1, hi1, g1), (lo2, hi2, g2) in zip(spans, spans[1:]):
+    for (lo1, hi1, id1, w1, half1), (lo2, hi2, id2, w2, half2) in zip(spans, spans[1:]):
         if lo2 <= hi1:
-            raise ConfigError(
-                f"groups {g1.group_id} and {g2.group_id} overlap in frequency"
-            )
-        gap = g2.base_frequency - g1.base_frequency
-        need = 10.0 * max(g1.spread * g1.base_frequency, g2.spread * g2.base_frequency)
+            raise ConfigError(f"groups {id1} and {id2} overlap in frequency")
+        gap = w2 - w1
+        need = 10.0 * max(half1, half2)
         if gap < need:
             raise ConfigError(
-                f"groups {g1.group_id} and {g2.group_id} are closer than 10x "
-                f"the intra-group spread"
+                f"groups {id1} and {id2} are closer than 10x the intra-group spread"
             )
 
 

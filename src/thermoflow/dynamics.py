@@ -98,7 +98,7 @@ def settling_time(config: DeviceConfig, initial_occupancies, rel_tol: float) -> 
 
 def stationary_window(config: DeviceConfig) -> float:
     """A time by which transients are dead to ~1e-10 relative: 40 / min Gamma_kappa."""
-    return 40.0 / float(config.couplings.sum(axis=1).min())
+    return 40.0 / float(config.rates.min())
 
 
 def qfactor_estimate(wavelength_m: float, q_low: float, q_high: float):

@@ -99,6 +99,8 @@ class DeviceConfig:
     matrix, entry [kappa][j] = rate of mode kappa into reservoir j. Validated
     once at construction; all operations on a config are pure. An input that is
     already a read-only array owning its data is held as is, any other copied.
+    rates (K,), the total rates Gamma_kappa = couplings.sum(axis=1), is computed
+    by that validation and kept read-only.
     """
 
     frequencies: np.ndarray
@@ -129,8 +131,11 @@ class DeviceConfig:
             )
         if not (g.min(initial=np.inf) >= 0.0 and g.max(initial=0.0) < np.inf):
             raise ConfigError("couplings must be finite and non-negative")
-        if g.sum(axis=1).min(initial=np.inf) <= 0.0:
+        rates = g.sum(axis=1)
+        if rates.min(initial=np.inf) <= 0.0:
             raise ConfigError("every mode needs at least one positive coupling")
+        rates.setflags(write=False)
+        object.__setattr__(self, "rates", rates)
         object.__setattr__(self, "frequencies", w)
         object.__setattr__(self, "temperatures", t)
         object.__setattr__(self, "couplings", g)
@@ -172,10 +177,9 @@ def stationary_state(config: DeviceConfig):
     n_tilde[kappa] = sum_j gamma[kappa][j] n_j(w_kappa) / Gamma_kappa is the fixed
     point of every mode's rate equation and the reference of every channel flow.
     """
-    occ = config.occupancies
-    g = config.couplings
-    rates = g.sum(axis=1)
-    return occ, rates, _by_row_blocks(lambda g, n: (g * n).sum(axis=1), g, occ) / rates
+    occ, rates = config.occupancies, config.rates
+    n_tilde = _by_row_blocks(lambda g, n: (g * n).sum(axis=1), config.couplings, occ)
+    return occ, rates, n_tilde / rates
 
 
 def _by_row_blocks(reduce_rows, *tables):

@@ -618,6 +618,146 @@ def test_spread_solve_matches_plain_bisection_at_baseline_dispatch():
     assert proc.stdout == "0\n"
 
 
+ROW_DOT_SHAPES = [(1, 1), (2, 7), (16, 16), (257, 1024), (1024, 256), (1024, 1024)]
+
+
+def row_dot_mismatches(seed, count):
+    """Encodes whose row_dots differ in some bit from one float(row @ input_occ)
+    per row, over the same rows of the coupling block (total_rate 1 leaves the
+    normalized rows there as they were dotted). Shapes: ROW_DOT_SHAPES and
+    count seeded ones up to 1024 x 1024; every other case adds a one-row group."""
+    rng = np.random.default_rng(seed)
+    shapes = ROW_DOT_SHAPES + [tuple(rng.integers(1, 1025, 2)) for _ in range(count)]
+    bad = 0
+    for i, (m, n) in enumerate(shapes):
+        a, b = problem(seed + i, int(m), int(n))
+        tasks = [(a, 1.0)] if i % 2 else [(a, 1.0), (a[:1], 30.0)]
+        program = compiler.encode_parallel_matvec(tasks, b)
+        p_hat = program.config.couplings[:, 1:]
+        ref = [
+            float(row @ g.input_occupancies)
+            for g in program.groups
+            for row in p_hat[g.mode_indices[0] : g.mode_indices[-1] + 1]
+        ]
+        bad += program.row_dots.tobytes() != np.array(ref).tobytes()
+    return bad
+
+
+# environments that pick other OpenBLAS kernels or numpy loops than the host's
+KERNEL_SETTINGS = {
+    "default": None,
+    "prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+    "haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+    "baseline-dispatch": {"NPY_DISABLE_CPU_FEATURES": ABOVE_BASELINE},
+}
+
+
+@pytest.mark.skipif(
+    platform.machine() not in ("x86_64", "AMD64"), reason="names x86-64 kernels"
+)
+@pytest.mark.parametrize("setting", list(KERNEL_SETTINGS))
+def test_row_dots_match_row_loop_on_other_kernels(setting):
+    """Encode's stacked row dots run each row through the ddot that row @ x
+    calls, so they match the per-row loop whichever kernel OpenBLAS picks; each
+    setting acts on a child process only."""
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    if setting == "default":
+        assert row_dot_mismatches(86, 24) == 0
+        return
+    if setting == "haswell" and not __cpu_features__.get("AVX2"):
+        pytest.skip("the Haswell kernel needs AVX2")
+    tests = Path(__file__).resolve().parent
+    code = "from test_parity import row_dot_mismatches as f\nprint(f(86, 24))\n"
+    env = dict(
+        os.environ,
+        **KERNEL_SETTINGS[setting],
+        PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]),
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
+
+
+def ref_table_deviation(program, group):
+    """The group deviation from every row of the device's table: the largest
+    row maximum of |occ - base| / base, skipping a NaN one."""
+    rows = slice(group.mode_indices[0], group.mode_indices[-1] + 1)
+    occ = program.config.occupancies[rows, 1:]
+    base = group.input_occupancies
+    with np.errstate(all="ignore"):
+        return max(0.0, *(np.abs(occ - base) / base).max(axis=1).tolist())
+
+
+def deviation_cases(seed, count):
+    """(tasks, vector, settings): m, n in 1..79, b from 1e-12 to 1e12 with about
+    15 % zeros, w from 1e-3 to 1e4, group_tol from 1e-6 to 1e-1 and
+    occupancy_floor from 1e-300 to 1e-8 (1e-300 in every tenth case). A third of
+    the cases add a group of up to three rows 16 to 1000 times below w, and a
+    third a one-row group as far above it, where small inputs flush to 0."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        m, n = (int(v) for v in rng.integers(1, 80, 2))
+        a = rng.uniform(0.0, 1.0, (m, n))
+        a[rng.random((m, n)) < 0.2] = 0.0
+        a[:, 0] = np.where(np.all(a == 0.0, axis=1), 0.5, a[:, 0])
+        b = 10.0 ** rng.uniform(-12.0, 12.0, n)
+        b[rng.random(n) < 0.15] = 0.0
+        w = 10.0 ** rng.uniform(-3.0, 4.0)
+        tasks = [(a, w)]
+        rows, ratio = int(rng.integers(1, 4)), 10.0 ** rng.uniform(1.2, 3.0)
+        if i % 3 == 0:
+            tasks.append((rng.uniform(0.1, 1.0, (rows, n)), w / ratio))
+        elif i % 3 == 1:
+            tasks.append((rng.uniform(0.1, 1.0, (1, n)), w * ratio))
+        floor = 1e-300 if i % 10 == 0 else 10.0 ** rng.uniform(-300.0, -8.0)
+        tol = 10.0 ** rng.uniform(-6.0, -1.0)
+        yield tasks, b, {"group_tol": tol, "occupancy_floor": floor}
+
+
+def counted_fallbacks(monkeypatch):
+    """A list that gains the group's row count each time encode checks a
+    group's rows one by one, as it does when a column extreme's deviation is NaN."""
+    calls, by_rows = [], compiler._by_row_blocks
+    monkeypatch.setattr(
+        compiler,
+        "_by_row_blocks",
+        lambda reduce_rows, occ: calls.append(len(occ)) or by_rows(reduce_rows, occ),
+    )
+    return calls
+
+
+def test_group_deviation_matches_full_table(monkeypatch):
+    """The deviation from each column's least and greatest occupancy equals the
+    maximum over every row of the table, bit for bit, on both of its paths."""
+    fallbacks = counted_fallbacks(monkeypatch)
+    groups = parallel = 0
+    for tasks, b, settings in deviation_cases(87, 600):
+        program = compiler.encode_parallel_matvec(tasks, b, **settings)
+        for group in program.groups:
+            expected = ref_table_deviation(program, group)
+            assert group.max_occupancy_dev.hex() == expected.hex()
+        groups += len(program.groups)
+        parallel += len(program.groups) == 2
+    assert parallel == 400
+    assert 0 < len(fallbacks) < groups
+    assert max(fallbacks) > 1
+
+
+def test_group_deviation_falls_back_to_rows_at_a_flushed_input(monkeypatch):
+    """An input occupancy flushed to 0 makes a column extreme's deviation 0/0,
+    so every row is checked, and the rows that read 0/0 are skipped."""
+    fallbacks = counted_fallbacks(monkeypatch)
+    a, b, settings = drain_case("degenerate", False)
+    program = compiler.encode_matvec(a, b, **settings)
+    [group] = program.groups
+    assert group.input_occupancies[0] == 0.0
+    assert fallbacks == [3]
+    assert group.max_occupancy_dev == ref_table_deviation(program, group) == 0.0
+
+
 # w/T quotients from 1e-12 to 1e3: tiny, moderate, and past the flush point
 BOSE_SHAPES = [(k, n) for k in range(1, 34) for n in range(1, 34)] + [(1024, 257)]
 

@@ -110,6 +110,20 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             DeviceConfig([1.0], [T_FLOOR, 1.0], np.zeros((1, 2)))
 
+    def test_mode_without_positive_coupling_rejected(self):
+        couplings = np.array([[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(ConfigError, match="^every mode needs at least one positive"):
+            DeviceConfig([1.0, 2.0], [T_FLOOR, 1.0], couplings)
+
+    def test_rates_are_read_only_row_sums(self, rng):
+        for _ in range(20):
+            config = random_config(rng, max_modes=6, max_reservoirs=8)
+            expected = config.couplings.sum(axis=1)
+            assert config.rates.tobytes() == expected.tobytes()
+            with pytest.raises(ValueError):
+                config.rates[0] = 0.0
+            assert physics.stationary_state(config)[1] is config.rates
+
     def test_negative_couplings_rejected(self):
         with pytest.raises(ConfigError):
             DeviceConfig([1.0], [T_FLOOR, 1.0], np.array([[1.0, -1.0]]))
