@@ -18,11 +18,11 @@ those of the default-settings scalar and matvec cases, exists and has only
 passthrough branches with zero series resistors), a raw config, valid inputs
 whose intermediates are not finite (a zero entry floored below the occupancy
 flush, an occupancy or an entropy rate that overflows), a matvec at base
-frequency 1e300 (`compile` exits 0, `run` and `circuit` exit 4), and invalid
-inputs (non-finite numbers, an overflowing base frequency, compiled documents
-with mistyped fields, an unknown kind or a multi-mode scalar, raw configs with
-a non-finite field, the drain at index 1, flows that overflow or crossbar
-conductances that underflow). The case
+frequency 1e300 (`compile` exits 0, `run`, `circuit` and `transient` exit 4),
+and invalid inputs (non-finite numbers, an overflowing base frequency, compiled
+documents with mistyped fields, an unknown kind or a multi-mode scalar, raw
+configs with a non-finite field, the drain at index 1, flows that overflow or
+crossbar conductances that underflow). The case
 `other-commands` runs `validate`, the `transient` sweep, and one command for
 each flag that a command does not take, which argparse refuses with exit 2.
 Each command runs in its own interpreter, so exit codes and stderr are those a
@@ -124,8 +124,9 @@ def problems() -> dict:
     }
     cases["invalid-nan-b"] = {"kind": "scalar", "a": [1.0], "b": [float("nan")]}
     cases["invalid-huge-base-frequency"] = dict(small, settings={"base_frequency": 1e308})
-    # compiles (the drain column of the occupancy table overflows to 0 there),
-    # but run and circuit rebuild the device and refuse that overflow
+    # compiles (the drain column of the occupancy table overflows and is flushed
+    # to 0), but run, circuit and transient check the device's extreme w/T
+    # before they read the table, and refuse that overflow
     cases["overflowing-drain-column"] = dict(small, settings={"base_frequency": 1e300})
     cases["invalid-spread-null"] = _compiled(
         small, lambda d: d["groups"][0].update(spread=None)

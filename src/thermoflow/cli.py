@@ -68,13 +68,13 @@ def config_to_dict(config: DeviceConfig) -> dict:
 def config_from_dict(doc: dict) -> DeviceConfig:
     try:
         frequencies = [float(m["frequency"]) for m in doc["modes"]]
-        group_ids = [int(m.get("group_id", 1)) for m in doc["modes"]]
+        group_ids = np.array([int(m.get("group_id", 1)) for m in doc["modes"]], dtype=int)
         temperatures = [float(r["temperature"]) for r in doc["reservoirs"]]
         drains = [bool(r.get("is_drain", False)) for r in doc["reservoirs"]]
         couplings = np.array(doc["couplings"], dtype=float)
     except KeyError as exc:
         raise InputError(f"raw config missing field: {exc.args[0]}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"raw config field of the wrong type: {exc}") from exc
     if [j for j, drain in enumerate(drains) if drain] != [0]:
         raise ConfigError("exactly one drain reservoir required, at index 0")
@@ -134,7 +134,7 @@ def program_from_dict(doc: dict) -> CompiledProgram:
         raise InputError(f"compiled program missing field: {exc.args[0]}") from exc
     except InputError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"compiled program field of the wrong type: {exc}") from exc
     if fields["kind"] not in ("scalar", "matvec"):
         raise InputError(f"unknown compiled program kind: {fields['kind']!r}")
@@ -253,7 +253,7 @@ def _settings_from(doc: dict) -> dict:
         raise InputError(f"unknown settings: {sorted(unknown)}")
     try:
         return {k: float(v) for k, v in overrides.items()}
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"settings values must be numbers: {exc}") from exc
 
 
@@ -267,7 +267,7 @@ def _array(doc: dict, field: str) -> np.ndarray:
     value = _require(doc, field)
     try:
         array = np.array(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"field {field!r} is not a numeric array: {exc}") from exc
     if not np.isfinite(array).all():
         raise InputError(f"field {field!r} holds NaN or Infinity")
@@ -299,27 +299,22 @@ def _compile(doc: dict):
         program = compiler.encode_matvec(p, b, **settings)
     elif kind == "signed_matvec":
         a, b = _array(doc, "matrix"), _array(doc, "vector")
-        parts = compiler.encode_signed_matvec(a, b, **settings)
-        parts = [(sign, rows, _surface_table_errors(p)) for sign, rows, p in parts]
-        return "compiled_signed", (a.shape, parts)
+        return "compiled_signed", (a.shape, compiler.encode_signed_matvec(a, b, **settings))
     elif kind == "raw_config":
         return "raw_config", config_from_dict(doc)
     else:
         raise InputError(f"unknown problem kind: {kind!r}")
-    return "compiled_program", _surface_table_errors(program)
+    return "compiled_program", program
 
 
-def _surface_table_errors(program: CompiledProgram) -> CompiledProgram:
-    """program, or, when encode's table build hit an overflow or x/0 (encode
-    ignores them; the extreme w/T show them), a copy that builds it again on
-    first use, so that the command fails there as on the compiled document."""
-    w, t = program.config.frequencies, program.config.temperatures
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            physics.bose_occupancy(np.array([w.max(), w.min()]), [t.min(), t.max()])
-        return program
-    except FloatingPointError:
-        return dataclasses.replace(program, config=dataclasses.replace(program.config))
+def _checked(config: DeviceConfig) -> DeviceConfig:
+    """config, after raising, under the caller's errstate, the overflow or x/0
+    that building its occupancy table meets and ignores. Division is monotone
+    under correct rounding, so w/T and 1/expm1(w/T) can only meet one at the
+    extreme ratios, where numpy raises what it would on the whole table."""
+    w, t = config.frequencies, config.temperatures
+    physics.bose_occupancy(np.array([w.max(), w.min()]), np.array([t.min(), t.max()]))
+    return config
 
 
 def _document(kind: str, compiled) -> dict:
@@ -378,7 +373,7 @@ def run_compiled(doc: dict, with_oracle: bool, problem_doc: dict | None) -> dict
     if kind in ("raw_config", "compiled_program"):
         raw = kind == "raw_config"
         config = compiled if raw else compiled.config
-        flows = physics.stationary_flows(config)
+        flows = physics.stationary_flows(_checked(config))
         report.update(
             kind=kind if raw else compiled.kind,
             flows=_flow_tables(flows),
@@ -395,7 +390,7 @@ def run_compiled(doc: dict, with_oracle: bool, problem_doc: dict | None) -> dict
         shape, parts = compiled
         for sign, rows, program in parts:
             name = _PART_NAMES[sign]
-            flows = physics.stationary_flows(program.config)
+            flows = physics.stationary_flows(_checked(program.config))
             decoded.append((sign, rows, compiler.decode_matvec(program, flows)))
             tables[name] = _flow_tables(flows)
             entropy += flows.entropy_rate
@@ -567,7 +562,7 @@ def cmd_transient(args) -> int:
         raise InputError("t_end must be positive")
     t_end = args.t_end or dynamics.stationary_window(config)
     initial = np.zeros(config.n_modes)
-    trace = dynamics.evolve(config, initial, t_end, args.samples, args.rel_tol)
+    trace = dynamics.evolve(_checked(config), initial, t_end, args.samples, args.rel_tol)
     header = (
         ["time"]
         + [f"occ_mode{k}" for k in range(config.n_modes)]
@@ -607,7 +602,8 @@ def _parse_policy(spec: str):
 
 def cmd_circuit(args) -> int:
     config = _compiled_config(load_document(args.problem))
-    crossbar = build_crossbar(config, policy=_parse_policy(args.policy))
+    policy = _parse_policy(args.policy)
+    crossbar = build_crossbar(_checked(config), policy=policy)
     recovered = crossbar_currents(crossbar) * config.frequencies[:, None]
     residual = float(np.max(np.abs(recovered - crossbar.flows.per_channel)))
     if not math.isfinite(residual):

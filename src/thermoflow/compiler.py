@@ -291,21 +291,20 @@ def _compile_groups(tasks, temps, settings, kind, shared) -> CompiledProgram:
     for array in arrays:
         array.setflags(write=False)  # so that the device holds it as is
     config = DeviceConfig(*arrays)
-    with np.errstate(all="ignore"):  # builds the table: w/T_FLOOR may overflow
-        groups = tuple(
-            GroupSpec(
-                group_id=gid,
-                mode_indices=tuple(rows),
-                base_frequency=w_g,
-                spread=spread,
-                max_occupancy_dev=_max_deviation(
-                    config.occupancies[rows.start : rows.stop, 1:], input_occ
-                ),
-                degenerate=degenerate,
-                input_occupancies=input_occ,
-            )
-            for gid, rows, w_g, spread, degenerate, input_occ in specs
+    groups = tuple(
+        GroupSpec(
+            group_id=gid,
+            mode_indices=tuple(rows),
+            base_frequency=w_g,
+            spread=spread,
+            max_occupancy_dev=_max_deviation(
+                config.occupancies[rows.start : rows.stop, 1:], input_occ
+            ),
+            degenerate=degenerate,
+            input_occupancies=input_occ,
         )
+        for gid, rows, w_g, spread, degenerate, input_occ in specs
+    )
     return CompiledProgram(
         config=config,
         groups=groups,
@@ -324,9 +323,10 @@ def _max_deviation(occ, base_occ):
     side of b under correct rounding, so each column deviates most at its least
     or greatest occupancy; a NaN anywhere in a column shows there too, and then
     every row is checked."""
-    dev = _group_deviation(np.stack((occ.min(axis=0), occ.max(axis=0))), base_occ)
-    if np.isnan(dev).any():
-        dev = _by_row_blocks(lambda o: _group_deviation(o, base_occ), occ)
+    with np.errstate(all="ignore"):  # a base occupancy of 0 or inf: 0/0, x/0, inf - inf
+        dev = _group_deviation(np.stack((occ.min(axis=0), occ.max(axis=0))), base_occ)
+        if np.isnan(dev).any():
+            dev = _by_row_blocks(lambda o: _group_deviation(o, base_occ), occ)
     return max(0.0, *dev.tolist())
 
 

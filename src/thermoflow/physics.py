@@ -144,9 +144,10 @@ class DeviceConfig:
     @cached_property
     def occupancies(self) -> np.ndarray:
         """Read-only (K, n+1) table n_j(w_kappa, T_j) of reservoir occupancies at
-        the mode frequencies, computed on first use under the errstate then active
-        and shared by the flows, the dynamics and the crossbar."""
-        occ = _bose(self.frequencies[:, None] / self.temperatures[None, :])
+        the mode frequencies, shared by the flows, the dynamics and the crossbar;
+        built on first use ignoring floating-point errors, whatever the errstate."""
+        with np.errstate(all="ignore"):
+            occ = _bose(self.frequencies[:, None] / self.temperatures[None, :])
         occ.setflags(write=False)
         return occ
 

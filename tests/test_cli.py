@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import logging
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermoflow import circuit, physics
 from thermoflow.cli import (
@@ -468,6 +472,41 @@ class TestRun:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "base, edit",
+        [
+            ("problem", lambda d: d["vector"].__setitem__(0, 10**400)),
+            ("problem", lambda d: d.update(settings={"total_rate": 10**400})),
+            ("raw", lambda d: d["modes"][0].update(frequency=10**400)),
+            ("raw", lambda d: d["modes"][0].update(group_id=2**63)),
+            ("compiled", lambda d: d["row_scales"].__setitem__(0, 10**400)),
+            ("compiled", lambda d: d["groups"][0].update(base_frequency=10**400)),
+            ("compiled", lambda d: d["config"]["couplings"][0].__setitem__(0, 10**400)),
+        ],
+        ids=[
+            "vector",
+            "setting",
+            "raw-frequency",
+            "raw-group_id",
+            "row_scales",
+            "base_frequency",
+            "couplings",
+        ],
+    )
+    def test_integer_out_of_range_is_validation_error(self, tmp_path, capsys, base, edit):
+        # json reads these as Python ints, which float() or an int64 array refuse
+        # with an OverflowError
+        problem = {"kind": "matvec", "matrix": [[0.2, 0.8], [0.9, 0.1]], "vector": [1, 3]}
+        docs = {"problem": problem, "raw": GOLDEN_PROBLEM}
+        docs["compiled"] = compile_problem(problem)
+        doc = json.loads(json.dumps(docs[base]))
+        edit(doc)
+        path = write_doc(tmp_path, "huge.json", doc)
+        assert main(["run", path]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("command", ["run", "compile", "circuit", "transient"])
     def test_drain_not_first_is_validation_error(self, tmp_path, capsys, command):
         doc = json.loads(json.dumps(GOLDEN_PROBLEM))
@@ -665,8 +704,9 @@ class TestCircuit:
     )
     def test_overflowing_drain_column(self, tmp_path, capsys, command, code):
         # at base frequency 1e300 the drain column w/T_FLOOR of the occupancy
-        # table overflows: encode flushes it to 0, while the commands that
-        # rebuild the device from the compiled document refuse the overflow
+        # table overflows: the table flushes it to 0 whoever builds it, so
+        # compile succeeds, while the commands that read the table check the
+        # device's extreme w/T first and refuse the overflow
         problem = {
             "kind": "matvec",
             "matrix": [[0.5, 0.5], [0.2, 0.8]],
@@ -682,6 +722,20 @@ class TestCircuit:
             assert captured.err.startswith("numerical failure: overflow")
         else:
             assert json.loads(captured.out)["type"] == "compiled_program"
+
+    def test_overflowing_drain_column_checks_t_end_first(self, tmp_path, capsys):
+        # transient refuses a bad --t-end before it reads the occupancy table
+        problem = {
+            "kind": "matvec",
+            "matrix": [[0.5, 0.5], [0.2, 0.8]],
+            "vector": [1.0, 2.0],
+            "settings": {"base_frequency": 1e300},
+        }
+        path = write_doc(tmp_path, "huge.json", problem)
+        assert main(["transient", path, "--t-end", "-1"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: t_end must be positive\n"
 
     @pytest.mark.parametrize(
         "command, problem",
@@ -752,6 +806,53 @@ class TestOccupancyTable:
         assert main([*argv, path, "--output", str(tmp_path / "out")]) == 0
         # run: flows and settling time; transient: evolve and two settling times
         assert len(built) == len({id(config) for config in built}) == devices
+
+
+def run_main(argv):
+    """(exit code, stdout, stderr) of main(argv), run in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def edge_problems(draw):
+    """Small matvec and signed problems with zero vector entries, at base
+    frequencies near the ends of the float range or near 1."""
+    kind = draw(st.sampled_from(["matvec", "signed_matvec"]))
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    entry = st.floats(-4.0 if kind == "signed_matvec" else 0.0, 4.0, allow_subnormal=False)
+    row = st.lists(entry, min_size=n, max_size=n)
+    base_frequency = draw(
+        st.floats(1e280, 1e308) | st.floats(1e-323, 1e-290) | st.floats(1e-3, 1e3)
+    )
+    vector = st.lists(st.just(0.0) | st.floats(0.0, 10.0), min_size=n, max_size=n)
+    return {
+        "kind": kind,
+        "matrix": draw(st.lists(row, min_size=m, max_size=m)),
+        "vector": draw(vector),
+        "settings": {"base_frequency": base_frequency},
+    }
+
+
+class TestCompiledForm:
+    """A problem document and its compiled form exit alike, with the same
+    stdout and stderr, in every command that reads a device."""
+
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @given(problem=edge_problems())
+    def test_problem_and_compiled_form_exit_alike(self, tmp_path_factory, problem):
+        where = tmp_path_factory.mktemp("forms")
+        path = write_doc(where, "problem.json", problem)
+        compiled = str(where / "compiled.json")
+        code, _, err = run_main(["compile", path, "--output", compiled])
+        for argv in (["run", "--no-timing"], ["circuit"], ["transient", "--samples", "5"]):
+            ran = run_main([*argv, path])
+            if code == 0:
+                assert ran == run_main([*argv, compiled])
+            else:  # each command compiles a problem document first
+                assert ran == (code, "", err)
 
 
 class TestValidate:

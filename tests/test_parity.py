@@ -43,6 +43,7 @@ from thermoflow.circuit import (
     oqs_to_star,
 )
 from thermoflow.cli import (
+    _checked,
     compile_problem,
     config_hash,
     config_to_dict,
@@ -796,6 +797,36 @@ def test_bose_matches_where_form_across_occupancy_flush():
     assert (occ == 0.0).any()
     assert ((occ > 0.0) & (occ < 1.000001 * physics.OCCUPANCY_FLUSH)).any()
     assert_same(physics._bose(x.copy()), occ)
+
+
+def table_error(build):
+    """The message of the FloatingPointError that build() raises under the
+    command-line errstate, or None."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            build()
+    except FloatingPointError as exc:
+        return str(exc)
+    return None
+
+
+def test_extreme_ratio_check_matches_table():
+    # the check evaluates the occupancy at the device's largest and smallest
+    # w/T only; it must raise what building the whole table would, or nothing
+    rng = np.random.default_rng(331)
+    smallest = np.nextafter(0.0, 1.0)
+    seen = []
+    for _ in range(2000):
+        k, n = rng.integers(1, 6, size=2).tolist()
+        w = np.fmax(10.0 ** rng.uniform(-330.0, 308.0, k), smallest)
+        t = 10.0 ** rng.uniform(math.log10(T_FLOOR), 308.0, n + 1)
+        config = DeviceConfig(w, np.fmax(t, T_FLOOR), np.ones((k, n + 1)))
+        expected = table_error(lambda: physics._bose(w[:, None] / config.temperatures))
+        assert table_error(lambda: _checked(config)) == expected, (w, t)
+        seen.append(expected)
+    # the domain holds devices of each kind
+    kinds = {None, "overflow encountered in divide", "divide by zero encountered in divide"}
+    assert kinds <= set(seen)
 
 
 def wide_problems(seed, count):

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import occupancy_config, random_config, weighted_occupancy
 from thermoflow import physics
 from thermoflow.cli import config_from_dict, config_to_dict
+from thermoflow.compiler import encode_matvec
 from thermoflow.physics import (
     T_FLOOR,
     ConfigError,
@@ -194,6 +197,35 @@ class TestConfigValidation:
         couplings.setflags(write=False)
         with pytest.raises(ConfigError):
             DeviceConfig([1.0], [T_FLOOR, 1.0], couplings)
+
+
+class TestOccupancyTable:
+    """The table is a function of the device alone: the same bits, and no
+    warning or error, whatever the errstate of the caller that reads it first."""
+
+    @pytest.mark.parametrize(
+        "frequencies, temperature",
+        [([1.0, 2.0], 1.0), ([1e300, 2e300], 1.0), ([1e-316, 1.0], 1e10)],
+        ids=["clean", "overflowing-w/T", "1/expm1-of-zero"],
+    )
+    def test_same_table_under_any_errstate(self, frequencies, temperature):
+        config = DeviceConfig(frequencies, [T_FLOOR, temperature], np.ones((2, 2)))
+        copy = dataclasses.replace(config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="raise"):
+                raised = config.occupancies
+            warned = copy.occupancies  # numpy's default errstate warns
+        assert raised.tobytes() == warned.tobytes()
+
+    def test_encoded_device_and_its_copy_give_the_same_flows(self):
+        # encode reads the table of a device whose w/T_FLOOR overflows first;
+        # a copy builds it again under the caller's errstate
+        program = encode_matvec([[0.5, 0.5], [0.2, 0.8]], [1.0, 2.0], base_frequency=1e300)
+        config = program.config
+        with np.errstate(all="raise"):
+            flows = [stationary_flows(c) for c in (config, dataclasses.replace(config))]
+        np.testing.assert_array_equal(flows[0].per_channel, flows[1].per_channel)
 
 
 def normalized_couplings(config):
