@@ -234,6 +234,10 @@ def crossbar_currents(crossbar: CrossbarCircuit) -> np.ndarray:
 # (kind, name, node+, node-, value), in netlist order. The writers below format
 # each value once and build that tuple text and the netlist line from the same
 # repr; a star's names are quoted with repr, so any label gives the tuple text.
+# They give the lines in blocks, which export_netlist hashes and joins one at
+# a time, so no whole digest text is ever held.
+
+_BLOCK = 4096  # crossbar branches per block of lines
 
 
 def _check_finite(*values):
@@ -242,7 +246,8 @@ def _check_finite(*values):
 
 
 def _star_lines(circuit: StarCircuit):
-    """(digest lines, netlist lines) of a star: its R elements, then its V."""
+    """(digest lines, netlist lines) of a star, as one block: its R elements,
+    then its V."""
     _check_finite(circuit.resistances, circuit.potentials)
     labels = circuit.labels or range(circuit.resistances.size)
     digest, lines = [], []
@@ -254,13 +259,15 @@ def _star_lines(circuit: StarCircuit):
         name, pos = f"V{j}", f"n_res{j}"
         digest.append(f"('V', {name!r}, {pos!r}, '0', {value})")
         lines.append(f"{name} {pos} 0 DC {value}")
-    return digest, lines
+    return [(digest, lines)]
 
 
 def _crossbar_lines(circuit: CrossbarCircuit):
-    """(digest lines, netlist lines) of a crossbar: one V per reservoir bar, then
-    the Rs/Rg pair of each wired branch as one two-line string. The names are
-    identifiers made from ints, so their reprs are the names in single quotes."""
+    """Blocks of (digest lines, netlist lines) of a crossbar: one V per reservoir
+    bar, then the Rs/Rg pair of each wired branch as one two-line string, _BLOCK
+    branches a block. The names are identifiers made from ints, so their reprs
+    are the names in single quotes. The values are checked before the first
+    block is formatted."""
     status = circuit.branch_status
     wired = (status != ABSENT) & (status != OPEN)
     kappas, js = np.nonzero(wired)
@@ -274,23 +281,27 @@ def _crossbar_lines(circuit: CrossbarCircuit):
     for j, value in enumerate(map(repr, bars.tolist())):
         digest.append(f"('V', 'V{j}', 'c_{j}', '0', {value})")
         lines.append(f"V{j} c_{j} 0 DC {value}")
+    yield digest, lines
     # index names as strings: formatting them costs more than a lookup
     kappa_names = list(map(str, range(circuit.frequencies.size)))
     j_names = list(map(str, range(bars.size)))
-    for kappa, j, r_s, r_g in zip(
-        kappas.tolist(),
-        js.tolist(),
-        map(repr, r_series.tolist()),
-        map(repr, r_main.tolist()),
-    ):
-        k, j = kappa_names[kappa], j_names[j]
-        kj = f"{k}_{j}"
-        digest.append(
-            f"('R', 'Rs_{kj}', 'c_{j}', 'x_{kj}', {r_s})\n"
-            f"('R', 'Rg_{kj}', 'x_{kj}', 'b_{k}', {r_g})"
-        )
-        lines.append(f"Rs_{kj} c_{j} x_{kj} {r_s}\nRg_{kj} x_{kj} b_{k} {r_g}")
-    return digest, lines
+    for start in range(0, kappas.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        digest, lines = [], []
+        for kappa, j, r_s, r_g in zip(
+            kappas[block].tolist(),
+            js[block].tolist(),
+            map(repr, r_series[block].tolist()),
+            map(repr, r_main[block].tolist()),
+        ):
+            k, j = kappa_names[kappa], j_names[j]
+            kj = f"{k}_{j}"
+            digest.append(
+                f"('R', 'Rs_{kj}', 'c_{j}', 'x_{kj}', {r_s})\n"
+                f"('R', 'Rg_{kj}', 'x_{kj}', 'b_{k}', {r_g})"
+            )
+            lines.append(f"Rs_{kj} c_{j} x_{kj} {r_s}\nRg_{kj} x_{kj} b_{k} {r_g}")
+        yield digest, lines
 
 
 def format_netlist(header_hash: str, elements) -> str:
@@ -330,13 +341,17 @@ def export_netlist(circuit) -> str:
     infinite element value, or crossbar conductance, raises FloatingPointError
     before anything is formatted."""
     if isinstance(circuit, StarCircuit):
-        digest, lines = _star_lines(circuit)
+        blocks = _star_lines(circuit)
     elif isinstance(circuit, CrossbarCircuit):
-        digest, lines = _crossbar_lines(circuit)
+        blocks = _crossbar_lines(circuit)
     else:
         raise ConfigError(f"cannot export {type(circuit).__name__} as a netlist")
-    header = hashlib.sha256("\n".join(digest).encode()).hexdigest()[:16]
-    del digest  # freed before the netlist text is joined
-    lines.insert(0, f"* thermoflow netlist {header}")
-    lines.append(".end\n")
-    return "\n".join(lines)
+    sha, chunks = hashlib.sha256(), []
+    for digest, lines in blocks:
+        if chunks:
+            sha.update(b"\n")
+        sha.update("\n".join(digest).encode())
+        chunks.append("\n".join(lines))
+    chunks.insert(0, f"* thermoflow netlist {sha.hexdigest()[:16]}")
+    chunks.append(".end\n")
+    return "\n".join(chunks)

@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 input validation, 3 solvability/physics constraint,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -418,7 +419,8 @@ def run_compiled(doc: dict, with_oracle: bool, problem_doc: dict | None) -> dict
 
 def _signed_parts(doc: dict):
     """Target shape and the checked [(sign, rows, program)] of a compiled
-    signed document, plus part first."""
+    signed document, plus part first. The parts' rows cover the target's rows,
+    and each part takes the target's columns as inputs."""
     shape = _indices(doc.get("target_shape"), "target_shape")
     if len(shape) != 2:
         raise InputError("compiled_signed target_shape must be [rows, columns]")
@@ -436,7 +438,13 @@ def _signed_parts(doc: dict):
         rows, k = _indices(part["rows"], f"{name} rows"), program.config.n_modes
         if len(set(rows)) != k or len(rows) != k or max(rows) >= shape[0]:
             raise InputError(f"{name} rows need {k} distinct indices below {shape[0]}")
+        if program.config.n_reservoirs - 1 != shape[1]:
+            raise InputError(f"{name} program needs {shape[1]} inputs, one per column")
         checked.append((sign, list(rows), program))
+    # every row is below shape[0], so the union covers range(shape[0]) if and
+    # only if it is that large
+    if len({i for _, rows, _ in checked for i in rows}) != shape[0]:
+        raise InputError(f"compiled_signed parts must cover all {shape[0]} target rows")
     return shape, checked
 
 
@@ -459,12 +467,18 @@ def _attach_oracle(report: dict, problem_doc: dict | None):
 # --- output helpers -----------------------------------------------------------
 
 
-def _emit(text: str, output: str | None):
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+_SLICE = 1 << 20  # characters per write, so no whole output is encoded at once
+
+
+def _emit(text, output: str | None):
+    """Write a string, or an iterable of strings, to output or else stdout, at
+    most _SLICE characters a call. Callers run every check that can fail first,
+    so a failing command writes nothing."""
+    pieces = [text] if isinstance(text, str) else text
+    with open(output, "w") if output else contextlib.nullcontext(sys.stdout) as fh:
+        for piece in pieces:
+            for start in range(0, len(piece), _SLICE):
+                fh.write(piece[start : start + _SLICE])
 
 
 # --- subcommands --------------------------------------------------------------
@@ -568,14 +582,25 @@ def cmd_transient(args) -> int:
         + [f"occ_mode{k}" for k in range(config.n_modes)]
         + [f"flow_res{j}" for j in range(config.n_reservoirs)]
     )
-    table = np.column_stack([trace.times, trace.occupancies, trace.flows])
-    if not np.isfinite(table).all():
+    columns = [trace.times[:, None], trace.occupancies, trace.flows]
+    if not all(np.isfinite(c).all() for c in columns):
         raise FloatingPointError("NaN or Infinity in the transient trace")
-    rows = [",".join(header)] + [",".join(map(repr, row.tolist())) for row in table]
-    _emit("\n".join(rows) + "\n", args.output)
+    _emit(_csv_blocks(",".join(header), columns), args.output)
     settle = dynamics.settling_time(config, initial, args.rel_tol)
     print(f"settling time: {settle!r}", file=sys.stderr)
     return 0
+
+
+_CSV_ROWS = 64  # trace rows formatted per block
+
+
+def _csv_blocks(header: str, columns):
+    """CSV text of the rows of the side-by-side 2-D columns, header first, in
+    blocks of _CSV_ROWS rows; each float is its repr."""
+    yield header + "\n"
+    for start in range(0, len(columns[0]), _CSV_ROWS):
+        block = np.hstack([c[start : start + _CSV_ROWS] for c in columns]).tolist()
+        yield "".join([",".join(map(repr, row)) + "\n" for row in block])
 
 
 def _sweep_settling_time(n: int, rel_tol: float) -> float:

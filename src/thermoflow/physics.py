@@ -18,7 +18,9 @@ import numpy as np
 T_FLOOR = 1e-9
 
 # Occupancies below this are flushed to exactly 0 to avoid subnormal noise
-# in flow sums. ln(1e300) is where 1/expm1(x) crosses the threshold.
+# in flow sums. _bose flushes every x >= _X_FLUSH, the float nearest ln(1e300)
+# (just below it): 1/expm1(_X_FLUSH) is 1.0000000000000237e-300, and the
+# occupancy only grows below it, so no smaller x gives one under the threshold.
 OCCUPANCY_FLUSH = 1e-300
 _X_FLUSH = 690.77552789821368
 
@@ -57,7 +59,6 @@ def _bose(x):
     np.minimum(occ, _X_FLUSH, out=occ)
     np.expm1(occ, out=occ)
     np.divide(1.0, occ, out=occ)
-    flush |= occ < OCCUPANCY_FLUSH
     occ[flush] = 0.0
     return occ
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermoflow import circuit, physics
+from thermoflow import circuit, cli, dynamics, physics
 from thermoflow.cli import (
     EXIT_NUMERICAL,
     EXIT_SOLVABILITY,
@@ -386,6 +386,9 @@ class TestRun:
             lambda d: d["parts"]["plus"].update(rows=[0]),
             lambda d: d["parts"]["plus"].update(rows=[-1, 1]),
             lambda d: d.pop("target_shape"),
+            lambda d: d.update(target_shape=[5, 2]),
+            lambda d: d.update(target_shape=[10**400, 2]),
+            lambda d: d.update(target_shape=[2, 7]),
         ],
         ids=[
             "no-parts",
@@ -399,6 +402,9 @@ class TestRun:
             "fewer-rows-than-modes",
             "row-negative",
             "no-target_shape",
+            "rows-not-covered",
+            "huge-target-rows",
+            "columns-not-inputs",
         ],
     )
     def test_bad_compiled_signed_is_validation_error(self, tmp_path, capsys, edit):
@@ -675,6 +681,43 @@ class TestCircuit:
         assert captured.out == ""
         assert captured.err.startswith("numerical failure: ")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            ("circuit", "NaN or Infinity in a netlist value"),
+            ("transient", "NaN or Infinity in the transient trace"),
+        ],
+    )
+    def test_non_finite_last_value_writes_nothing(
+        self, tmp_path, capsys, monkeypatch, command, message
+    ):
+        # the writers format their output in blocks, but check every value
+        # before the file is opened: an infinite last netlist branch or a NaN
+        # in the last trace row leaves no output
+        build, evolve = cli.build_crossbar, dynamics.evolve
+
+        def poisoned_crossbar(config, policy):
+            crossbar = build(config, policy=policy)
+            assert crossbar.branch_status[-1, -1] == circuit.SERIES
+            crossbar.series_resistors[-1, -1] = INF
+            return crossbar
+
+        def poisoned_trace(*args):
+            trace = evolve(*args)
+            trace.flows[-1, -1] = NAN
+            return trace
+
+        monkeypatch.setattr(cli, "build_crossbar", poisoned_crossbar)
+        monkeypatch.setattr(dynamics, "evolve", poisoned_trace)
+        problem = {"kind": "matvec", "matrix": [[0.2, 0.8], [0.9, 0.1]], "vector": [1, 3]}
+        path = write_doc(tmp_path, "problem.json", problem)
+        out = tmp_path / "out.txt"
+        assert main([command, path, "--output", str(out)]) == EXIT_NUMERICAL
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"numerical failure: {message}\n"
 
     @pytest.mark.parametrize("command", ["compile", "run", "circuit", "transient"])
     def test_overflowing_base_frequency_is_numerical_failure(

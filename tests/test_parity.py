@@ -791,7 +791,8 @@ def test_bose_matches_where_form_in_flush_region():
 
 
 def test_bose_matches_where_form_across_occupancy_flush():
-    # 4000 ulps below the flush point: 1/expm1(x) crosses OCCUPANCY_FLUSH there
+    # the 4000 ulps below the flush point: 1/expm1(x) falls to within 1e-6 of
+    # OCCUPANCY_FLUSH there but stays above it, so only x >= _X_FLUSH flushes
     x = physics._X_FLUSH + np.arange(-4000, 1) * np.spacing(physics._X_FLUSH)
     occ = ref_bose(x)
     assert (occ == 0.0).any()
@@ -1145,7 +1146,9 @@ def test_dump_json_peak_memory_within_reference():
 
 
 def test_export_netlist_peak_memory_within_reference():
-    a, b = problem(128, 128, 128)
+    """At 256x256 the export holds its text, one block of lines at a time and
+    the joined text: at most 3.5 times the text, where a whole digest took 6.3."""
+    a, b = problem(256, 256, 256)
     crossbar = build_crossbar(compiler.encode_matvec(a, b).config)
     tracemalloc.start()
     try:
@@ -1159,6 +1162,29 @@ def test_export_netlist_peak_memory_within_reference():
         tracemalloc.stop()
     assert text == ref_netlist(crossbar)
     assert peak <= ref_peak
+    assert peak <= 3.5 * len(text)
+
+
+def test_transient_peak_memory_within_trace_table(tmp_path):
+    """transient --samples 1300 at 256x256 formats and writes its CSV a block of
+    rows at a time: its peak is at most 3.5 trace tables, where the whole CSV
+    took 9.4."""
+    a, b = problem(256, 256, 256)
+    doc = compile_problem({"kind": "matvec", "matrix": a.tolist(), "vector": b.tolist()})
+    compiled = tmp_path / "compiled.json"
+    compiled.write_text(json.dumps(doc))
+    del doc
+    out = tmp_path / "trace.csv"
+    argv = ["transient", str(compiled), "--samples", "1300", "--output", str(out)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    header, *rows = out.read_text().splitlines()
+    assert len(rows) == 1300 and len(header.split(",")) == 1 + 256 + 257
+    assert peak <= 3.5 * 1300 * (1 + 256 + 257) * 8
 
 
 def test_run_matvec_peak_memory_within_three_devices():
