@@ -15,16 +15,19 @@ and `transient --samples 40`. Problems: scalar, matvec and signed, small and
 256x256, with and without settings overrides, a matvec compiled with a group
 tolerance ten times below the one `circuit` checks (its grouped netlist, like
 those of the default-settings scalar and matvec cases, exists and has only
-passthrough branches with zero series resistors), a raw config, valid inputs
+passthrough branches with zero series resistors), a raw config, one at
+equilibrium (every reservoir at T_FLOOR, so its entropy rate is -0.0), valid inputs
 whose intermediates are not finite (a zero entry floored below the occupancy
 flush, an occupancy or an entropy rate that overflows), a matvec at base
 frequency 1e300 (`compile` exits 0, `run`, `circuit` and `transient` exit 4),
 and invalid inputs (non-finite numbers, an overflowing base frequency, compiled
-documents with mistyped fields, an unknown kind or a multi-mode scalar, raw
+documents with mistyped fields, an unknown kind, a multi-mode scalar, or a
+drain_ratio or row_dots that disagrees with the device, raw
 configs with a non-finite field, the drain at index 1, flows that overflow or
 crossbar conductances that underflow). The case
-`other-commands` runs `validate`, the `transient` sweep, and one command for
-each flag that a command does not take, which argparse refuses with exit 2.
+`other-commands` runs `validate`, the `transient` sweep, a `run` whose --output
+lies in a missing directory, and one command for each flag that a command does
+not take, which argparse refuses with exit 2.
 Each command runs in its own interpreter, so exit codes and stderr are those a
 shell sees.
 """
@@ -53,6 +56,7 @@ COMMANDS = {
 OTHER_COMMANDS = {
     "validate": ["validate", "--cases", "200", "--seed", "7"],
     "transient-sweep": ["transient", "--sweep-n", "2..64"],
+    "run-output-missing-dir": ["run", "problem.json", "--output", "nodir/report.json"],
     "compile-oracle": ["compile", "problem.json", "--oracle"],
     "circuit-format": ["circuit", "problem.json", "--format", "spice"],
     "circuit-no-timing": ["circuit", "problem.json", "--no-timing"],
@@ -111,6 +115,12 @@ def problems() -> dict:
         ],
         "couplings": [[1.0, 1.0], [1.0, 2.0]],
     }
+    cases["raw-config-equilibrium"] = {
+        "kind": "raw_config",
+        "modes": [{"frequency": 1.0}],
+        "reservoirs": [{"temperature": 1e-9, "is_drain": True}, {"temperature": 1e-9}],
+        "couplings": [[1.0, 1.0]],
+    }
     small = _problem("matvec", 5, 4, 99, False)
     cases["invalid-nan-vector"] = {
         "kind": "matvec",
@@ -140,6 +150,12 @@ def problems() -> dict:
     cases["invalid-kind"] = _compiled(small, lambda d: d.update(kind="banana"))
     cases["invalid-multi-mode-scalar"] = _compiled(
         small, lambda d: d.update(kind="scalar")
+    )
+    cases["invalid-drain-ratio-off-device"] = _compiled(
+        small, lambda d: d.update(drain_ratio=1e-12)
+    )
+    cases["invalid-row-dots-off-device"] = _compiled(
+        small, lambda d: d.update(row_dots=[x * 1e-6 for x in d["row_dots"]])
     )
     raw = cases["raw-config"]
     cases["invalid-nan-frequency"] = _edited(

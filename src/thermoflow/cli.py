@@ -37,6 +37,10 @@ from thermoflow.physics import ConfigError, DeviceConfig
 
 SCHEMA_VERSION = 1
 
+# Relative tolerance of a compiled program's drain_ratio and row_dots against
+# their values derived from its device, which differ from them by rounding only.
+DERIVED_RTOL = 1e-12
+
 # Names of the two parts of a compiled signed program, keyed by their sign.
 _PART_NAMES = {1.0: "plus", -1.0: "minus"}
 
@@ -149,6 +153,18 @@ def program_from_dict(doc: dict) -> CompiledProgram:
         raise InputError(f"row_scales and row_dots need one entry per mode ({k})")
     if any(g.input_occupancies.shape != (n,) for g in groups):
         raise InputError(f"input_occupancies need one entry per input reservoir ({n})")
+    gamma, dots = program.config.couplings, np.empty(k)
+    with np.errstate(all="ignore"):  # a NaN or an infinity disagrees below
+        sums = gamma[:, 1:].sum(axis=1)
+        p_hat = gamma[:, 1:] / sums[:, None]  # the normalized rows, so no dot overflows
+        for group in groups:
+            idx = list(group.mode_indices)
+            dots[idx] = (p_hat @ group.input_occupancies)[idx]
+        for field, value in (("drain_ratio", gamma[:, 0] / sums), ("row_dots", dots)):
+            recorded = getattr(program, field)
+            bound = DERIVED_RTOL * np.minimum(abs(value), abs(recorded))
+            if not (abs(value - recorded) <= bound).all():
+                raise InputError(f"{field} disagrees with the device beyond {DERIVED_RTOL}")
     return program
 
 
@@ -289,7 +305,7 @@ def load_document(path: str) -> dict:
 
 
 def _compile(doc: dict):
-    """Problem document -> (type, compiled), in _load's form."""
+    """Problem document -> (type, target shape, parts), in _load's form."""
     kind = _require(doc, "kind")
     settings = _settings_from(doc)
     if kind == "scalar":
@@ -300,12 +316,18 @@ def _compile(doc: dict):
         program = compiler.encode_matvec(p, b, **settings)
     elif kind == "signed_matvec":
         a, b = _array(doc, "matrix"), _array(doc, "vector")
-        return "compiled_signed", (a.shape, compiler.encode_signed_matvec(a, b, **settings))
+        parts = compiler.encode_signed_matvec(a, b, **settings)
+        return "compiled_signed", a.shape, [(s, r, p.config, p) for s, r, p in parts]
     elif kind == "raw_config":
-        return "raw_config", config_from_dict(doc)
+        return kind, None, [(1.0, None, config_from_dict(doc), None)]
     else:
         raise InputError(f"unknown problem kind: {kind!r}")
-    return "compiled_program", program
+    return _single(program)
+
+
+def _single(program: CompiledProgram):
+    """_load's form of a compiled program: one part, whose result is the target's."""
+    return "compiled_program", program.target_shape, [(1.0, None, program.config, program)]
 
 
 def _checked(config: DeviceConfig) -> DeviceConfig:
@@ -318,18 +340,17 @@ def _checked(config: DeviceConfig) -> DeviceConfig:
     return config
 
 
-def _document(kind: str, compiled) -> dict:
-    """The compiled document of _load's (type, compiled)."""
+def _document(kind: str, shape, parts) -> dict:
+    """The compiled document of _compile's (type, target shape, parts)."""
     if kind == "compiled_program":
-        return program_to_dict(compiled)
+        return program_to_dict(parts[0][3])
     doc = {"schema_version": SCHEMA_VERSION, "type": kind}
     if kind == "raw_config":
-        return dict(doc, config=config_to_dict(compiled))
-    shape, parts = compiled
+        return dict(doc, config=config_to_dict(parts[0][2]))
     doc["target_shape"] = list(shape)
     doc["parts"] = {
         _PART_NAMES[sign]: {"program": program_to_dict(program), "rows": rows.tolist()}
-        for sign, rows, program in parts
+        for sign, rows, _, program in parts
     }
     return doc
 
@@ -340,71 +361,51 @@ def compile_problem(doc: dict):
 
 
 def _load(doc: dict):
-    """A document as (type, compiled): a CompiledProgram, (target shape,
-    [(sign, rows, program)]) or a DeviceConfig, by type, or a problem's."""
+    """A document as (type, target shape, parts), by its type or a problem's: a
+    part (sign, rows, config, program) per device, whose result adds with its
+    sign to the target's rows (all of them if None). A raw config has neither
+    target shape nor program."""
     kind = doc.get("type")
     if kind == "raw_config":
-        return kind, config_from_dict(doc["config"])
+        return kind, None, [(1.0, None, config_from_dict(doc["config"]), None)]
     if kind == "compiled_program":
-        return kind, program_from_dict(doc)
+        return _single(program_from_dict(doc))
     if kind == "compiled_signed":
-        return kind, _signed_parts(doc)
+        return kind, *_signed_parts(doc)
     return _compile(doc)
-
-
-def _flow_tables(flows):
-    return {
-        "per_channel": flows.per_channel.tolist(),
-        "per_reservoir": flows.per_reservoir.tolist(),
-    }
-
-
-def _settling_time(config: DeviceConfig) -> float:
-    """Settling time from empty modes, as every run report gives it."""
-    return dynamics.settling_time(config, np.zeros(config.n_modes), 1e-6)
 
 
 def run_compiled(doc: dict, with_oracle: bool, problem_doc: dict | None) -> dict:
     """Execute a compiled or problem document and assemble the run report body;
-    the oracle reads a compiled document's problem_doc, or the problem itself."""
-    kind, compiled = _load(doc)
+    the oracle reads a compiled document's problem_doc, or the problem itself.
+    Each part is checked, solved, timed from empty modes, hashed and decoded."""
+    kind, shape, parts = _load(doc)
     log.debug("run: compiled, type %r", kind)
-    report: dict = {"schema_version": SCHEMA_VERSION, "type": "run_report"}
-
-    if kind in ("raw_config", "compiled_program"):
-        raw = kind == "raw_config"
-        config = compiled if raw else compiled.config
+    tables, entropies, settles, hashes, decoded = [], [], [], [], []
+    for sign, rows, config, program in parts:
+        config_doc = None  # the last part's document goes before this part runs
         flows = physics.stationary_flows(_checked(config))
-        report.update(
-            kind=kind if raw else compiled.kind,
-            flows=_flow_tables(flows),
-            entropy_rate=flows.entropy_rate,
-            settling_time=_settling_time(config),
-            config=config_to_dict(config),
-        )
-        report["config_hash"] = config_hash(report["config"])
-        result = None if raw else compiler.decode_matvec(compiled, flows)  # scalar too
-
-    else:
-        decoded, tables, hashes = [], {}, {}
-        entropy = settle = 0.0
-        shape, parts = compiled
-        for sign, rows, program in parts:
-            name = _PART_NAMES[sign]
-            flows = physics.stationary_flows(_checked(program.config))
+        per_channel, per_reservoir = flows.per_channel.tolist(), flows.per_reservoir.tolist()
+        tables.append({"per_channel": per_channel, "per_reservoir": per_reservoir})
+        entropies.append(flows.entropy_rate)
+        settles.append(dynamics.settling_time(config, np.zeros(config.n_modes), 1e-6))
+        config_doc = config_to_dict(config)
+        hashes.append(config_hash(config_doc))
+        if program is not None:  # a scalar program decodes as a one-row matvec
             decoded.append((sign, rows, compiler.decode_matvec(program, flows)))
-            tables[name] = _flow_tables(flows)
-            entropy += flows.entropy_rate
-            settle = max(settle, _settling_time(program.config))
-            hashes[name] = config_hash(config_to_dict(program.config))
+
+    report = {"schema_version": SCHEMA_VERSION, "type": "run_report"}
+    report["settling_time"] = max(settles)
+    if kind == "compiled_signed":  # entropy rate 0 + e_plus + e_minus, as ever
+        names = [_PART_NAMES[sign] for sign, *_ in parts]
+        report.update(kind="signed_matvec", flows=dict(zip(names, tables)))
+        report["entropy_rate"] = sum(entropies)
+        report["config_hash"] = "+".join(f"{k}:{v}" for k, v in sorted(zip(names, hashes)))
         result = compiler.combine_signed(shape[0], decoded)
-        report.update(
-            kind="signed_matvec",
-            flows=tables,
-            entropy_rate=entropy,
-            settling_time=settle,
-            config_hash="+".join(f"{k}:{v}" for k, v in sorted(hashes.items())),
-        )
+    else:  # one part, the loop's last; its entropy rate as it is, so -0.0 stays
+        report.update(kind=program.kind if program else kind, flows=tables[0])
+        report.update(entropy_rate=entropies[0], config=config_doc, config_hash=hashes[0])
+        result = decoded[0][2] if decoded else None
 
     if result is not None:
         report.update(
@@ -412,15 +413,14 @@ def run_compiled(doc: dict, with_oracle: bool, problem_doc: dict | None) -> dict
         )
         if with_oracle:
             _attach_oracle(report, problem_doc if doc.get("type") == kind else doc)
-    sizes = _device_size(kind, compiled)
-    log.debug("run: ran %r, %d modes, %d reservoirs", report["kind"], *sizes)
+    log.debug("run: ran %r, %d modes, %d reservoirs", report["kind"], *_device_size(parts))
     return report
 
 
 def _signed_parts(doc: dict):
-    """Target shape and the checked [(sign, rows, program)] of a compiled
-    signed document, plus part first. The parts' rows cover the target's rows,
-    and each part takes the target's columns as inputs."""
+    """Target shape and the checked [(sign, rows, config, program)] of a
+    compiled signed document, plus part first. The parts' rows cover the
+    target's rows, and each part takes the target's columns as inputs."""
     shape = _indices(doc.get("target_shape"), "target_shape")
     if len(shape) != 2:
         raise InputError("compiled_signed target_shape must be [rows, columns]")
@@ -440,10 +440,10 @@ def _signed_parts(doc: dict):
             raise InputError(f"{name} rows need {k} distinct indices below {shape[0]}")
         if program.config.n_reservoirs - 1 != shape[1]:
             raise InputError(f"{name} program needs {shape[1]} inputs, one per column")
-        checked.append((sign, list(rows), program))
+        checked.append((sign, list(rows), program.config, program))
     # every row is below shape[0], so the union covers range(shape[0]) if and
     # only if it is that large
-    if len({i for _, rows, _ in checked for i in rows}) != shape[0]:
+    if len({i for _, rows, *_ in checked for i in rows}) != shape[0]:
         raise InputError(f"compiled_signed parts must cover all {shape[0]} target rows")
     return shape, checked
 
@@ -475,7 +475,11 @@ def _emit(text, output: str | None):
     most _SLICE characters a call. Callers run every check that can fail first,
     so a failing command writes nothing."""
     pieces = [text] if isinstance(text, str) else text
-    with open(output, "w") if output else contextlib.nullcontext(sys.stdout) as fh:
+    try:
+        sink = open(output, "w") if output else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        raise InputError(f"cannot write {output}: {exc}") from exc
+    with sink as fh:
         for piece in pieces:
             for start in range(0, len(piece), _SLICE):
                 fh.write(piece[start : start + _SLICE])
@@ -484,13 +488,9 @@ def _emit(text, output: str | None):
 # --- subcommands --------------------------------------------------------------
 
 
-def _device_size(kind: str, compiled) -> tuple:
-    """Modes and reservoirs of _load's (type, compiled), summed over parts."""
-    if kind == "compiled_signed":
-        configs = [program.config for _, _, program in compiled[1]]
-    else:
-        configs = [compiled if kind == "raw_config" else compiled.config]
-    return sum(c.n_modes for c in configs), sum(c.n_reservoirs for c in configs)
+def _device_size(parts) -> tuple:
+    """Modes and reservoirs of _load's parts, summed."""
+    return tuple(np.sum([(c.n_modes, c.n_reservoirs) for _, _, c, _ in parts], axis=0))
 
 
 def _write_output(command: str, doc: dict, output: str | None):
@@ -503,10 +503,9 @@ def _write_output(command: str, doc: dict, output: str | None):
 def cmd_compile(args) -> int:
     doc = load_document(args.problem)
     log.debug("compile: loaded %s, kind %r", args.problem, doc.get("kind"))
-    kind, compiled = _compile(doc)
-    sizes = _device_size(kind, compiled)
-    log.debug("compile: %s, %d modes, %d reservoirs", kind, *sizes)
-    document = _document(kind, compiled)
+    kind, shape, parts = _compile(doc)
+    log.debug("compile: %s, %d modes, %d reservoirs", kind, *_device_size(parts))
+    document = _document(kind, shape, parts)
     _write_output("compile", document, args.output)
     if kind == "compiled_program":
         cfg = document["config"]
@@ -534,9 +533,9 @@ def cmd_run(args) -> int:
 
 def _compiled_config(doc: dict) -> DeviceConfig:
     if doc.get("type") != "compiled_signed":
-        kind, compiled = _load(doc)
+        kind, _, parts = _load(doc)
         if kind != "compiled_signed":
-            return compiled if kind == "raw_config" else compiled.config
+            return parts[0][2]
     raise InputError("signed problems have two configs; compile each part separately")
 
 

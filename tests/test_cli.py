@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import logging
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +103,17 @@ GOLDEN_PROBLEM = {
 @pytest.fixture
 def golden_problem(tmp_path):
     return write_doc(tmp_path, "golden.json", GOLDEN_PROBLEM)
+
+
+# raw config whose reservoirs all sit at T_FLOOR: no flow, entropy rate -0.0
+EQUILIBRIUM_PROBLEM = {
+    "kind": "raw_config",
+    "modes": [{"frequency": 1.0}],
+    "reservoirs": [{"temperature": 1e-9, "is_drain": True}, {"temperature": 1e-9}],
+    "couplings": [[1.0, 1.0]],
+}
+
+SIGNED_PROBLEM = {"kind": "signed_matvec", "matrix": [[0.5, -1.0], [0.2, 0.3]], "vector": [1, 3]}
 
 
 def golden_compile_problem(kind):
@@ -340,6 +352,9 @@ class TestRun:
             lambda d: d.update(groups=[1]),
             lambda d: d.update(kind="banana"),
             lambda d: d.update(kind="scalar"),
+            lambda d: d.update(drain_ratio=1e-12),
+            lambda d: d.update(row_dots=[x * 1e-6 for x in d["row_dots"]]),
+            lambda d: d["row_dots"].__setitem__(1, NAN),
         ],
         ids=[
             "index-out-of-range",
@@ -359,6 +374,9 @@ class TestRun:
             "group-not-mapping",
             "unknown-kind",
             "scalar-with-two-modes",
+            "drain_ratio-off-device",
+            "row_dots-off-device",
+            "nan-row_dots",
         ],
     )
     def test_bad_compiled_program_is_validation_error(self, tmp_path, capsys, edit):
@@ -389,6 +407,8 @@ class TestRun:
             lambda d: d.update(target_shape=[5, 2]),
             lambda d: d.update(target_shape=[10**400, 2]),
             lambda d: d.update(target_shape=[2, 7]),
+            lambda d: d["parts"]["minus"]["program"].update(drain_ratio=1e-12),
+            lambda d: d["parts"]["plus"]["program"]["row_dots"].__setitem__(1, 1e-6),
         ],
         ids=[
             "no-parts",
@@ -405,22 +425,29 @@ class TestRun:
             "rows-not-covered",
             "huge-target-rows",
             "columns-not-inputs",
+            "minus-drain_ratio-off-device",
+            "plus-row_dots-off-device",
         ],
     )
     def test_bad_compiled_signed_is_validation_error(self, tmp_path, capsys, edit):
-        doc = compile_problem(
-            {
-                "kind": "signed_matvec",
-                "matrix": [[0.5, -1.0], [0.2, 0.3]],
-                "vector": [1, 3],
-            }
-        )
+        doc = compile_problem(SIGNED_PROBLEM)
         edit(doc)
         path = write_doc(tmp_path, "compiled.json", doc)
         assert main(["run", path]) == EXIT_VALIDATION
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("scale", [1.0 + 1e-14, 1.0 - 1e-14])
+    def test_derived_fields_within_tolerance_run(self, tmp_path, scale):
+        # recorded values are compared with a tolerance, not bit for bit, so a
+        # document written on a host that rounds differently still runs
+        doc = compile_problem(
+            {"kind": "matvec", "matrix": [[0.2, 0.8], [0.9, 0.1]], "vector": [1, 3]}
+        )
+        doc["drain_ratio"] *= scale
+        doc["row_dots"] = [x * scale for x in doc["row_dots"]]
+        assert main(["run", write_doc(tmp_path, "compiled.json", doc)]) == 0
 
     def test_signed_compiled_run_matches_problem_run(self, tmp_path):
         problem = {
@@ -526,30 +553,40 @@ class TestRun:
         )
 
     def test_debug_log_names_every_stage(self, matvec_problem, tmp_path, caplog):
-        out = tmp_path / "quiet.json"
-        assert main(["run", matvec_problem, "--no-timing", "--output", str(out)]) == 0
-        assert not caplog.records
-        caplog.set_level(logging.DEBUG, logger="thermoflow")
-        logged = tmp_path / "logged.json"
-        assert main(["run", matvec_problem, "--no-timing", "--output", str(logged)]) == 0
-        assert logged.read_bytes() == out.read_bytes()
-        size = len(out.read_bytes())
-        assert caplog.messages == [
-            f"run: loaded {matvec_problem}, type None, kind 'matvec'",
-            "run: compiled, type 'compiled_program'",
-            "run: ran 'matvec', 2 modes, 3 reservoirs",
-            f"run: serialized {size} bytes",
-            f"run: wrote {size} bytes to {logged}",
-        ]
-        caplog.clear()
-        assert main(["compile", matvec_problem, "--output", str(out)]) == 0
-        size = len(out.read_bytes())
-        assert caplog.messages == [
-            f"compile: loaded {matvec_problem}, kind 'matvec'",
-            "compile: compiled_program, 2 modes, 3 reservoirs",
-            f"compile: serialized {size} bytes",
-            f"compile: wrote {size} bytes to {out}",
-        ]
+        # the sizes are summed over a document's parts
+        signed = write_doc(tmp_path, "signed.json", SIGNED_PROBLEM)
+        raw = write_doc(tmp_path, "raw.json", EQUILIBRIUM_PROBLEM)
+        for problem, kind, compiled, sizes in [
+            (matvec_problem, "matvec", "compiled_program", "2 modes, 3"),
+            (signed, "signed_matvec", "compiled_signed", "3 modes, 6"),
+            (raw, "raw_config", "raw_config", "1 modes, 2"),
+        ]:
+            caplog.set_level(logging.WARNING, logger="thermoflow")
+            out = tmp_path / "quiet.json"
+            assert main(["run", problem, "--no-timing", "--output", str(out)]) == 0
+            assert not caplog.records
+            caplog.set_level(logging.DEBUG, logger="thermoflow")
+            logged = tmp_path / "logged.json"
+            assert main(["run", problem, "--no-timing", "--output", str(logged)]) == 0
+            assert logged.read_bytes() == out.read_bytes()
+            size = len(out.read_bytes())
+            assert caplog.messages == [
+                f"run: loaded {problem}, type None, kind {kind!r}",
+                f"run: compiled, type {compiled!r}",
+                f"run: ran {kind!r}, {sizes} reservoirs",
+                f"run: serialized {size} bytes",
+                f"run: wrote {size} bytes to {logged}",
+            ]
+            caplog.clear()
+            assert main(["compile", problem, "--output", str(out)]) == 0
+            size = len(out.read_bytes())
+            assert caplog.messages == [
+                f"compile: loaded {problem}, kind {kind!r}",
+                f"compile: {compiled}, {sizes} reservoirs",
+                f"compile: serialized {size} bytes",
+                f"compile: wrote {size} bytes to {out}",
+            ]
+            caplog.clear()
 
     def test_raw_config_run(self, golden_problem, tmp_path):
         out = tmp_path / "report.json"
@@ -558,6 +595,39 @@ class TestRun:
         assert report["kind"] == "raw_config"
         assert report["entropy_rate"] >= 0.0
         assert len(report["config_hash"]) == 16
+
+    def test_raw_config_at_equilibrium_keeps_negative_zero(self, tmp_path, capsys):
+        # a one-part report prints its part's entropy rate as it is; 0.0 + e
+        # would turn -0.0 into 0.0
+        path = write_doc(tmp_path, "raw.json", EQUILIBRIUM_PROBLEM)
+        assert main(["run", path, "--no-timing"]) == 0
+        out = capsys.readouterr().out
+        assert '"entropy_rate": -0.0,' in out
+        assert json.loads(out)["settling_time"] == 0.0
+
+    @pytest.mark.parametrize("form", ["problem", "compiled"])
+    def test_signed_run_peak_within_matvec_run(self, form):
+        # each signed part's config document is hashed and let go inside the
+        # part loop; keeping both until the report is assembled reads ~15.4 MiB
+        # against 12.4 MiB signed and 13.5 MiB matvec
+        peaks = {}
+        for kind in ("matvec", "signed_matvec"):
+            rng = np.random.default_rng(256)
+            low = -1.0 if kind == "signed_matvec" else 0.0
+            doc = {
+                "kind": kind,
+                "matrix": rng.uniform(low, 1.0, size=(256, 256)).tolist(),
+                "vector": rng.uniform(1e-6, 10.0, size=256).tolist(),
+            }
+            if form == "compiled":
+                doc = compile_problem(doc)
+            tracemalloc.start()
+            try:
+                dump_json(cli.run_compiled(doc, False, None))
+                peaks[kind] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["signed_matvec"] <= peaks["matvec"]
 
 
 class TestTransient:
@@ -929,6 +999,20 @@ class TestFlags:
             main(argv)
         assert exc.value.code == EXIT_VALIDATION
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestOutput:
+    @pytest.mark.parametrize("command", ["compile", "run", "circuit", "transient"])
+    def test_unwritable_output_is_validation_error(
+        self, matvec_problem, tmp_path, capsys, command
+    ):
+        out = tmp_path / "nodir" / "x.out"
+        assert main([command, matvec_problem, "--output", str(out)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert captured.err.count("\n") == 1
+        assert not out.parent.exists()
 
 
 class TestRoundTrips:
