@@ -20,11 +20,13 @@ equilibrium (every reservoir at T_FLOOR, so its entropy rate is -0.0), valid inp
 whose intermediates are not finite (a zero entry floored below the occupancy
 flush, an occupancy or an entropy rate that overflows), a matvec at base
 frequency 1e300 (`compile` exits 0, `run`, `circuit` and `transient` exit 4),
-and invalid inputs (non-finite numbers, an overflowing base frequency, compiled
-documents with mistyped fields, an unknown kind, a multi-mode scalar, or a
-drain_ratio or row_dots that disagrees with the device, raw
-configs with a non-finite field, the drain at index 1, flows that overflow or
-crossbar conductances that underflow). The case
+a compiled matvec whose group lists its modes in reverse (it reports what the
+document as compiled does), and invalid inputs (non-finite numbers, an
+overflowing base frequency, a total_rate that makes the drain couplings
+subnormal, compiled documents with mistyped fields, an unknown kind, a
+multi-mode scalar, or a drain_ratio or row_dots that disagrees with the device,
+raw configs with a non-finite field, the drain at index 1, flows that overflow
+or crossbar conductances that underflow). The case
 `other-commands` runs `validate`, the `transient` sweep, a `run` whose --output
 lies in a missing directory, and one command for each flag that a command does
 not take, which argparse refuses with exit 2.
@@ -138,6 +140,10 @@ def problems() -> dict:
     # to 0), but run, circuit and transient check the device's extreme w/T
     # before they read the table, and refuse that overflow
     cases["overflowing-drain-column"] = dict(small, settings={"base_frequency": 1e300})
+    cases["reversed-mode-indices"] = _compiled(
+        small, lambda d: d["groups"][0]["mode_indices"].reverse()
+    )
+    cases["invalid-subnormal-drain-coupling"] = dict(small, settings={"total_rate": 1e-309})
     cases["invalid-spread-null"] = _compiled(
         small, lambda d: d["groups"][0].update(spread=None)
     )

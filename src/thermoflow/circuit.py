@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,12 +27,15 @@ from thermoflow.physics import (
     stationary_flows,
 )
 
-# Branch status labels in a crossbar.
+# Branch status labels. A crossbar holds each branch's status as a uint8 code,
+# the label's index in _LABELS; codes from _PASSTHROUGH up mark wired branches.
 ABSENT = "absent"  # zero coupling: no element at this crossing
 SERIES = "series"  # current-carrying branch with a computed series resistor
 NEGATIVE = "negative"  # series resistor came out negative (flagged, kept as computed)
 PASSTHROUGH = "passthrough"  # zero current and phi == Phi: r = 0 works
 OPEN = "open"  # zero current but phi != Phi: branch left disconnected
+_LABELS = np.array([ABSENT, OPEN, PASSTHROUGH, SERIES, NEGATIVE], dtype=object)
+_ABSENT, _OPEN, _PASSTHROUGH, _SERIES, _NEGATIVE = np.arange(5, dtype=np.uint8)
 
 
 class SolvabilityError(ValueError):
@@ -70,9 +74,14 @@ class CrossbarCircuit:
     node_potentials: np.ndarray  # (K, n+1), phi[kappa][j] = n_j(w_kappa, T_j), read-only
     bar_potentials: np.ndarray  # (n+1,), Phi_j
     series_resistors: np.ndarray  # (K, n+1), r[kappa][j]
-    branch_status: np.ndarray  # (K, n+1), status labels
+    status_codes: np.ndarray  # (K, n+1), uint8 indices into _LABELS
     currents: np.ndarray  # (K, n+1), I[kappa][j] = J[kappa][j]/w_kappa
     flows: FlowReport  # the stationary flows J the currents were mapped from
+
+    @cached_property
+    def branch_status(self) -> np.ndarray:
+        """(K, n+1) status labels, built from the codes on first read."""
+        return _LABELS[self.status_codes]
 
 
 def star_node_potential(circuit: StarCircuit) -> float:
@@ -160,19 +169,15 @@ def build_crossbar(
 
     bar = _resolve_bar_potentials(phi, active, policy, group_tol)
 
-    # Labels are assigned as scalars, so every cell refers to one shared string.
     r = np.zeros(g.shape)
-    status = np.full(g.shape, ABSENT, dtype=object)
     if policy == "grouped":
-        status[active] = PASSTHROUGH
+        code = _PASSTHROUGH
     else:
         drop = bar - phi
         moving = currents != 0.0  # absent branches carry exactly 0
         np.divide(drop, currents, out=r, where=moving)
-        status[active & (drop != 0.0)] = OPEN
-        status[active & (drop == 0.0)] = PASSTHROUGH
-        status[moving] = SERIES
-        status[r < 0.0] = NEGATIVE
+        idle = np.where(drop == 0.0, _PASSTHROUGH, _OPEN)
+        code = np.where(moving, np.where(r < 0.0, _NEGATIVE, _SERIES), idle)
 
     r[r == 0.0] = 0.0  # normalize -0.0 from zero drops over negative currents
     return CrossbarCircuit(
@@ -181,7 +186,7 @@ def build_crossbar(
         node_potentials=phi,
         bar_potentials=bar,
         series_resistors=r,
-        branch_status=status,
+        status_codes=np.where(active, code, _ABSENT),
         currents=currents,
         flows=flows,
     )
@@ -202,8 +207,7 @@ def crossbar_currents(crossbar: CrossbarCircuit) -> np.ndarray:
     (junction potentials weighted by the main conductances), which is the limit
     every non-degenerate perturbation of Phi selects.
     """
-    status = crossbar.branch_status
-    connected = (status == SERIES) | (status == NEGATIVE) | (status == PASSTHROUGH)
+    connected = crossbar.status_codes >= _PASSTHROUGH
     # Branch resistance in J/w current units: 1/gamma + r, with
     # 1/gamma = w / (nominal conductance); unconnected branches get g = 0.
     w = crossbar.frequencies[:, None]
@@ -268,8 +272,7 @@ def _crossbar_lines(circuit: CrossbarCircuit):
     branches a block. The names are identifiers made from ints, so their reprs
     are the names in single quotes. The values are checked before the first
     block is formatted."""
-    status = circuit.branch_status
-    wired = (status != ABSENT) & (status != OPEN)
+    wired = circuit.status_codes >= _PASSTHROUGH
     kappas, js = np.nonzero(wired)
     bars = circuit.bar_potentials
     r_series = circuit.series_resistors[wired]

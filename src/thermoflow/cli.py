@@ -375,10 +375,10 @@ def _load(doc: dict):
     return _compile(doc)
 
 
-def run_compiled(doc: dict, with_oracle: bool, problem_doc: dict | None) -> dict:
+def run_compiled(doc: dict, with_oracle: bool) -> dict:
     """Execute a compiled or problem document and assemble the run report body;
-    the oracle reads a compiled document's problem_doc, or the problem itself.
-    Each part is checked, solved, timed from empty modes, hashed and decoded."""
+    the oracle reads a problem document, and is None for a compiled one. Each
+    part is checked, solved, timed from empty modes, hashed and decoded."""
     kind, shape, parts = _load(doc)
     log.debug("run: compiled, type %r", kind)
     tables, entropies, settles, hashes, decoded = [], [], [], [], []
@@ -412,7 +412,7 @@ def run_compiled(doc: dict, with_oracle: bool, problem_doc: dict | None) -> dict
             decoded=result.values.tolist(), error_bounds=result.error_bound.tolist()
         )
         if with_oracle:
-            _attach_oracle(report, problem_doc if doc.get("type") == kind else doc)
+            _attach_oracle(report, None if doc.get("type") == kind else doc)
     log.debug("run: ran %r, %d modes, %d reservoirs", report["kind"], *_device_size(parts))
     return report
 
@@ -524,7 +524,7 @@ def cmd_run(args) -> int:
         "run: loaded %s, type %r, kind %r", args.problem, doc.get("type"), doc.get("kind")
     )
     started = time.monotonic()
-    report = run_compiled(doc, args.oracle, None)
+    report = run_compiled(doc, args.oracle)
     if not args.no_timing:
         report["timing"] = {"seconds": time.monotonic() - started}
     _write_output("run", report, args.output)

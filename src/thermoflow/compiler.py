@@ -38,7 +38,8 @@ class EncodeSettings:
 
     drain_ratio is gamma[kappa][0] / sum_{j>=1} gamma[kappa][j]; it must be
     small for the cold-drain readout to be accurate. total_rate only sets flow
-    magnitudes and settling time and cancels in decode.
+    magnitudes and settling time and cancels in decode. Their product, the
+    drain coupling, must be a normal double.
     """
 
     base_frequency: float = 1.0
@@ -57,6 +58,8 @@ class EncodeSettings:
             raise ConfigError("drain_ratio must be in (0, 0.01]")
         if self.total_rate <= 0.0:
             raise ConfigError("total_rate must be positive")
+        if self.drain_ratio * self.total_rate < np.finfo(float).tiny:
+            raise ConfigError("drain_ratio * total_rate must be >= 2.2250738585072014e-308")
         if not 0.0 < self.group_tol <= 0.1:
             raise ConfigError("group_tol must be in (0, 0.1]")
         if self.occupancy_floor <= 0.0:
@@ -418,23 +421,22 @@ def estimate_encoding_error(program: CompiledProgram) -> np.ndarray:
     return bounds
 
 
-def _decode_modes(program: CompiledProgram, drain, mode_indices):
-    idx = np.array(mode_indices, dtype=int)
+def _decode(program: CompiledProgram, drain, modes, bounds) -> DecodedResult:
+    """Read modes, in their order, off the drain column: row_scale *
+    (-J_0 / (w gamma_0)) per mode, with that mode's entry of bounds."""
+    idx = np.asarray(modes, dtype=int)
     g0 = program.config.couplings[idx, 0]
     zero = idx[g0 <= 0.0]
     if zero.size:
         raise ConfigError(f"mode {zero[0]} has zero drain coupling; decode undefined")
     j0 = drain[idx]
-    w = program.config.frequencies[idx]
-    return program.row_scales[idx] * (-j0 / (w * g0)), j0
+    values = program.row_scales[idx] * (-j0 / (program.config.frequencies[idx] * g0))
+    return DecodedResult(values=values, raw_flows=j0, error_bound=bounds[idx])
 
 
 def decode_scalar_product(program: CompiledProgram, flows: FlowReport) -> DecodedResult:
-    """Read the scalar product off the drain flow: row_scale * (-J_0 / (w gamma_0))."""
-    drain = flows.per_channel[:, 0]
-    values, raw = _decode_modes(program, drain, program.groups[0].mode_indices[:1])
-    bound = estimate_encoding_error(program)[:1]
-    return DecodedResult(values=values, raw_flows=raw, error_bound=bound)
+    """Read the scalar product off mode 0's drain flow."""
+    return _decode(program, flows.per_channel[:, 0], [0], estimate_encoding_error(program))
 
 
 def decode_matvec(program: CompiledProgram, flows: FlowReport) -> DecodedResult:
@@ -443,31 +445,20 @@ def decode_matvec(program: CompiledProgram, flows: FlowReport) -> DecodedResult:
 
 
 def _decode_matvec(program: CompiledProgram, drain) -> DecodedResult:
+    """Output i is mode i, whatever order the group lists its modes in."""
     if len(program.groups) != 1:
         raise ConfigError(
             "decode_matvec expects a single group; use parallel_group_products"
         )
-    values, raw = _decode_modes(program, drain, program.groups[0].mode_indices)
-    return DecodedResult(
-        values=values, raw_flows=raw, error_bound=estimate_encoding_error(program)
-    )
+    modes = np.arange(program.row_scales.size)
+    return _decode(program, drain, modes, estimate_encoding_error(program))
 
 
 def parallel_group_products(program: CompiledProgram, flows: FlowReport):
     """Decode every group of a multi-group program; group g's result approximates
     P_g @ n(w_g, T), the input re-evaluated at that group's base frequency."""
-    bounds = estimate_encoding_error(program)
-    results = []
-    for group in program.groups:
-        values, raw = _decode_modes(program, flows.per_channel[:, 0], group.mode_indices)
-        results.append(
-            DecodedResult(
-                values=values,
-                raw_flows=raw,
-                error_bound=bounds[list(group.mode_indices)],
-            )
-        )
-    return results
+    drain, bounds = flows.per_channel[:, 0], estimate_encoding_error(program)
+    return [_decode(program, drain, g.mode_indices, bounds) for g in program.groups]
 
 
 def signed_split(a):

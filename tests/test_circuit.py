@@ -178,6 +178,18 @@ class TestBuildCrossbar:
         # drain branches carry current out of the bar at potential 2 > phi = 0
         assert crossbar.branch_status[0, 0] == NEGATIVE
 
+    @pytest.mark.parametrize("policy", ["max", ("fixed", 2.0), "grouped"])
+    def test_label_view_built_only_when_read(self, policy):
+        # the solve and the netlist read the uint8 codes, not the labels
+        config = occupancy_config(1.0, [1.0, 2.0], [[0.1, 0.0, 1.0]])
+        crossbar = build_crossbar(config, policy=policy)
+        crossbar_currents(crossbar)
+        export_netlist(crossbar)
+        assert "branch_status" not in vars(crossbar)
+        assert crossbar.status_codes.dtype == np.uint8
+        assert crossbar.branch_status is crossbar.branch_status
+        assert crossbar.branch_status[0, 1] == "absent"
+
 
 class TestNetlist:
     def test_smallest_star(self):

@@ -237,6 +237,30 @@ class TestCompile:
         assert captured.out == ""
         assert captured.err == f"error: {setting} must be finite\n"
 
+    @pytest.mark.parametrize("command", ["compile", "run", "circuit", "transient"])
+    @pytest.mark.parametrize("kind", ["matvec", "signed_matvec"])
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"total_rate": 1e-309},
+            {"drain_ratio": 1e-310},
+            {"drain_ratio": 1e-4, "total_rate": 1e-305},
+            {"drain_ratio": 1e-323, "total_rate": 1e-323},
+        ],
+        ids=["total_rate", "drain_ratio", "product", "both"],
+    )
+    def test_subnormal_drain_coupling_is_validation_error(
+        self, tmp_path, capsys, command, kind, overrides
+    ):
+        matrix = SIGNED_PROBLEM["matrix"] if kind == "signed_matvec" else [[0.5, 0.5]]
+        doc = {"kind": kind, "matrix": matrix, "vector": [1.0, 2.0], "settings": overrides}
+        assert main([command, write_doc(tmp_path, "bad.json", doc)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: drain_ratio * total_rate must be >= 2.2250738585072014e-308\n"
+        )
+
     @pytest.mark.parametrize("kind", ["matvec", "signed_matvec"])
     def test_golden_compiled_document(self, tmp_path, kind):
         path = write_doc(tmp_path, "problem.json", golden_compile_problem(kind))
@@ -449,6 +473,28 @@ class TestRun:
         doc["row_dots"] = [x * scale for x in doc["row_dots"]]
         assert main(["run", write_doc(tmp_path, "compiled.json", doc)]) == 0
 
+    @pytest.mark.parametrize(
+        "problem, group",
+        [
+            (
+                {"kind": "matvec", "matrix": [[1.0, 0.0], [0.0, 2.0]], "vector": [1, 3]},
+                lambda d: d["groups"][0],
+            ),
+            (SIGNED_PROBLEM, lambda d: d["parts"]["plus"]["program"]["groups"][0]),
+        ],
+        ids=["matvec", "signed"],
+    )
+    def test_mode_order_does_not_move_outputs(self, tmp_path, problem, group):
+        # output i is mode i: a group that lists its modes in reverse reports
+        # the same values, with the same bounds
+        doc = compile_problem(problem)
+        texts = []
+        for _ in range(2):
+            path = write_doc(tmp_path, "compiled.json", doc)
+            texts.append(run_main(["run", "--no-timing", path]))
+            group(doc)["mode_indices"].reverse()
+        assert texts[0][0] == 0 and texts[0] == texts[1]
+
     def test_signed_compiled_run_matches_problem_run(self, tmp_path):
         problem = {
             "kind": "signed_matvec",
@@ -623,7 +669,7 @@ class TestRun:
                 doc = compile_problem(doc)
             tracemalloc.start()
             try:
-                dump_json(cli.run_compiled(doc, False, None))
+                dump_json(cli.run_compiled(doc, False))
                 peaks[kind] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -932,7 +978,9 @@ def run_main(argv):
 @st.composite
 def edge_problems(draw):
     """Small matvec and signed problems with zero vector entries, at base
-    frequencies near the ends of the float range or near 1."""
+    frequencies near the ends of the float range or near 1; in about one example
+    in four each, total_rate or drain_ratio is drawn down to 1e-323, where the
+    drain couplings drain_ratio * total_rate turn subnormal."""
     kind = draw(st.sampled_from(["matvec", "signed_matvec"]))
     m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     entry = st.floats(-4.0 if kind == "signed_matvec" else 0.0, 4.0, allow_subnormal=False)
@@ -941,11 +989,15 @@ def edge_problems(draw):
         st.floats(1e280, 1e308) | st.floats(1e-323, 1e-290) | st.floats(1e-3, 1e3)
     )
     vector = st.lists(st.just(0.0) | st.floats(0.0, 10.0), min_size=n, max_size=n)
+    settings = {"base_frequency": base_frequency}
+    for name, top in (("total_rate", -290.0), ("drain_ratio", -2.0)):
+        if draw(st.integers(0, 3)) == 0:  # else the default
+            settings[name] = 10.0 ** draw(st.floats(-323.0, top))
     return {
         "kind": kind,
         "matrix": draw(st.lists(row, min_size=m, max_size=m)),
         "vector": draw(vector),
-        "settings": {"base_frequency": base_frequency},
+        "settings": settings,
     }
 
 

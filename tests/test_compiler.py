@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -204,6 +205,17 @@ class TestDecodeMatvec:
             result = run_matvec(p, b)
             assert np.all(np.abs(result.values - p @ b) <= result.error_bound)
 
+    def test_outputs_follow_modes_not_group_order(self):
+        # output i is mode i, with mode i's bound, in whatever order the group
+        # lists its modes
+        program = encode_matvec([[1.0, 0.0], [0.0, 2.0]], [1.0, 3.0])
+        flows = stationary_flows(program.config)
+        group = dataclasses.replace(program.groups[0], mode_indices=(1, 0))
+        direct = decode_matvec(program, flows)
+        swapped = decode_matvec(dataclasses.replace(program, groups=(group,)), flows)
+        for field in ("values", "raw_flows", "error_bound"):
+            np.testing.assert_array_equal(getattr(swapped, field), getattr(direct, field))
+
 
 class TestMonotonicityInDrainRatio:
     def test_halving_drain_ratio_never_hurts(self, rng):
@@ -357,6 +369,16 @@ def test_non_finite_setting_rejected(signed, name, value):
         run(a, [1.0, 2.0], **{name: value})
 
 
+@pytest.mark.parametrize("signed", [False, True], ids=["matvec", "signed"])
+def test_subnormal_drain_coupling_rejected(signed):
+    # 2**-7 * 2**-1015 is the least normal double, 2**-7 * 2**-1016 is subnormal
+    a, run = ([[0.5, -0.5]], signed_matvec) if signed else ([[0.5, 0.5]], run_matvec)
+    result = run(a, [1.0, 2.0], drain_ratio=2.0**-7, total_rate=2.0**-1015)
+    assert np.all(np.abs(result.values - np.array(a) @ [1.0, 2.0]) <= result.error_bound)
+    with pytest.raises(ConfigError, match=r"^drain_ratio \* total_rate must be >= 2\.22"):
+        run(a, [1.0, 2.0], drain_ratio=2.0**-7, total_rate=2.0**-1016)
+
+
 def test_non_finite_parallel_setting_rejected():
     a = [[0.5, 0.5]]
     with pytest.raises(ConfigError, match="^base_frequency must be finite$"):
@@ -400,6 +422,21 @@ class TestParallelGroups:
         [only] = parallel_group_products(program, flows)
         direct = decode_matvec(program, flows)
         np.testing.assert_array_equal(only.values, direct.values)
+
+    def test_groups_read_their_modes_in_listed_order(self):
+        # each value keeps its own mode's raw flow and bound
+        p = np.array([[0.3, 0.7], [0.6, 0.4], [0.1, 0.9]])
+        program = encode_parallel_matvec([(p, 1.0), (p, 3.0)], np.array([1.0, 2.0]))
+        flows = stationary_flows(program.config)
+        groups = tuple(
+            dataclasses.replace(g, mode_indices=g.mode_indices[::-1]) for g in program.groups
+        )
+        swapped = parallel_group_products(dataclasses.replace(program, groups=groups), flows)
+        for direct, result in zip(parallel_group_products(program, flows), swapped):
+            for field in ("values", "raw_flows", "error_bound"):
+                np.testing.assert_array_equal(
+                    getattr(result, field), getattr(direct, field)[::-1]
+                )
 
     def test_equal_temperatures_give_constant_outputs(self):
         p = np.array([[0.3, 0.7], [0.6, 0.4]])

@@ -1126,7 +1126,7 @@ def report_256():
         "matrix": rng.uniform(0.0, 1.0, (256, 256)).tolist(),
         "vector": rng.uniform(1e-6, 10.0, 256).tolist(),
     }
-    return run_compiled(compile_problem(problem), True, problem)
+    return run_compiled(problem, True)
 
 
 def test_dump_json_peak_memory_within_reference():
