@@ -24,7 +24,8 @@ a compiled matvec whose group lists its modes in reverse (it reports what the
 document as compiled does), and invalid inputs (non-finite numbers, an
 overflowing base frequency, a total_rate that makes the drain couplings
 subnormal, compiled documents with mistyped fields, an unknown kind, a
-multi-mode scalar, or a drain_ratio or row_dots that disagrees with the device,
+multi-mode scalar, or a drain_ratio, row_dots, max_occupancy_dev or
+input_occupancies (scaled with the row_dots) that disagrees with the device,
 raw configs with a non-finite field, the drain at index 1, flows that overflow
 or crossbar conductances that underflow). The case
 `other-commands` runs `validate`, the `transient` sweep, a `run` whose --output
@@ -163,6 +164,10 @@ def problems() -> dict:
     cases["invalid-row-dots-off-device"] = _compiled(
         small, lambda d: d.update(row_dots=[x * 1e-6 for x in d["row_dots"]])
     )
+    cases["invalid-max-occupancy-dev-off-device"] = _compiled(
+        small, lambda d: d["groups"][0].update(max_occupancy_dev=0.0)
+    )
+    cases["invalid-input-occupancies-off-device"] = _compiled(small, _scale_input_occupancies)
     raw = cases["raw-config"]
     cases["invalid-nan-frequency"] = _edited(
         raw, lambda d: d["modes"][0].update(frequency=float("nan"))
@@ -206,6 +211,14 @@ def problems() -> dict:
         "couplings": [[1e-200, 1e-200]],
     }
     return cases
+
+
+def _scale_input_occupancies(doc: dict, factor: float = 1e-3):
+    """Scale a compiled matvec's input_occupancies and, so that they still agree
+    with each other, its row_dots by factor."""
+    group = doc["groups"][0]
+    group["input_occupancies"] = [x * factor for x in group["input_occupancies"]]
+    doc["row_dots"] = [x * factor for x in doc["row_dots"]]
 
 
 def _edited(doc: dict, edit) -> dict:

@@ -7,8 +7,11 @@ For each size (16x16, 64x64, 256x256, 1024x256) and kind (`matvec`,
 - `solve_spread`: the `_solve_spread` calls that encode makes, recorded from an
   untimed encode (one per multi-row part, or one for a signed product whose
   parts share it). Its records also hold `calls_per_solve` and
-  `points_per_solve`: the spread predicate's calls and the deltas they
-  evaluate, per solve, counted through `compiler._bose` in one untimed round;
+  `points_per_solve`, counted through `compiler._bose` in one untimed round:
+  the (2, points, n) occupancy tables a solve builds, and the points (deltas,
+  or frequency factors on each side) they hold, per solve. A solve whose
+  window finds the threshold builds two, the window and the certificate; the
+  plain bisection, where it runs, adds 80 of one point each;
 - `stationary_flows`: `stationary_flows` of each part's device;
 - `drain_readout`: the drain column the pipelines decode from, for each part:
   `drain_flows`, or on a tree without it (before it was added) the first
@@ -91,8 +94,8 @@ def _times(fn, args=tuple):
 
 
 def _spread_counts(compiler, solve_spread, solves: int) -> dict:
-    """Spread predicate calls and the deltas they evaluate, per solve, counted
-    through compiler._bose: each call builds one (2, deltas, n) table."""
+    """Occupancy tables a spread solve builds and the points they hold, per
+    solve, counted through compiler._bose: each is one (2, points, n) table."""
     bose, sizes = compiler._bose, []
     compiler._bose = lambda x: sizes.append(x.size // (2 * x.shape[-1])) or bose(x)
     try:

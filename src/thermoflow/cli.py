@@ -37,9 +37,15 @@ from thermoflow.physics import ConfigError, DeviceConfig
 
 SCHEMA_VERSION = 1
 
-# Relative tolerance of a compiled program's drain_ratio and row_dots against
-# their values derived from its device, which differ from them by rounding only.
+# Relative tolerance of a compiled program's drain_ratio, row_dots,
+# input_occupancies and max_occupancy_dev against their values derived from its
+# device, which differ from them by rounding only.
 DERIVED_RTOL = 1e-12
+
+# Absolute tolerance of a group's max_occupancy_dev on top: a relative deviation
+# rounds on the scale of 1, not of itself. The bound reads it times the row dot
+# d, next to the floating-point cushion's 1e-11 * (d + 1).
+DEVIATION_ATOL = 1e-13
 
 # Names of the two parts of a compiled signed program, keyed by their sign.
 _PART_NAMES = {1.0: "plus", -1.0: "minus"}
@@ -153,18 +159,25 @@ def program_from_dict(doc: dict) -> CompiledProgram:
         raise InputError(f"row_scales and row_dots need one entry per mode ({k})")
     if any(g.input_occupancies.shape != (n,) for g in groups):
         raise InputError(f"input_occupancies need one entry per input reservoir ({n})")
-    gamma, dots = program.config.couplings, np.empty(k)
+    device, dots = program.config, np.empty(k)
+    gamma, table = device.couplings, device.occupancies[:, 1:]
     with np.errstate(all="ignore"):  # a NaN or an infinity disagrees below
         sums = gamma[:, 1:].sum(axis=1)
         p_hat = gamma[:, 1:] / sums[:, None]  # the normalized rows, so no dot overflows
+        checks = [("drain_ratio", gamma[:, 0] / sums, program.drain_ratio, 0.0)]
         for group in groups:
             idx = list(group.mode_indices)
+            occ = physics.bose_occupancy(group.base_frequency, device.temperatures[1:])
+            dev = compiler._max_deviation(table if len(groups) == 1 else table[idx], occ)
+            checks.append(("input_occupancies", occ, group.input_occupancies, 0.0))
+            checks.append(("max_occupancy_dev", dev, group.max_occupancy_dev, DEVIATION_ATOL))
             dots[idx] = (p_hat @ group.input_occupancies)[idx]
-        for field, value in (("drain_ratio", gamma[:, 0] / sums), ("row_dots", dots)):
-            recorded = getattr(program, field)
-            bound = DERIVED_RTOL * np.minimum(abs(value), abs(recorded))
+        checks.append(("row_dots", dots, program.row_dots, 0.0))
+        for field, value, recorded, atol in checks:
+            bound = DERIVED_RTOL * np.minimum(abs(value), abs(recorded)) + atol
             if not (abs(value - recorded) <= bound).all():
-                raise InputError(f"{field} disagrees with the device beyond {DERIVED_RTOL}")
+                beyond = f"{DERIVED_RTOL}" + (f" + {atol}" if atol else "")
+                raise InputError(f"{field} disagrees with the device beyond {beyond}")
     return program
 
 

@@ -136,78 +136,91 @@ def _group_deviation(occ, base_occ):
 # Upper end of the spread bisection: frequencies stay within w(1 +- 0.9).
 _MAX_SPREAD = 0.9
 
-# Relative offsets of the guess ladder, ascending: 1 -+ 10**-k, k = 8..14.
-_LADDER = np.array([-1e-8, -1e-9, -1e-10, -1e-11, -1e-12, -1e-13, -1e-14])
-_LADDER = np.concatenate((_LADDER, -_LADDER[::-1]))
+# The spread predicate's factors 1 -+ delta at delta = 1e-13 and _MAX_SPREAD,
+# and the bit steps of its window: _WINDOW consecutive doubles either side of
+# fl(1 -+ guess), each row ascending in delta (1 - delta falls, 1 + delta rises).
+_WINDOW = 8
+_EDGES = 1.0 + np.multiply.outer((-1.0, 1.0), [1e-13, _MAX_SPREAD])
+_STEPS = np.arange(-_WINDOW, _WINDOW + 1) * np.array([[-1], [1]])
 
 
 def _solve_spread(base_frequency, temperatures, group_tol, base_occ=None):
     """Largest relative half-width delta such that reservoir occupancies across
     [w(1-delta), w(1+delta)] stay within group_tol of their base values
-    base_occ, bose_occupancy(w, temperatures[1:]) unless given.
+    base_occ, bose_occupancy(w, temperatures[1:]) unless given; 0 (degenerate,
+    exactly equal frequencies) when even a vanishing spread does not.
 
-    An 80-step bisection on [0, 0.9]; falls back to delta = 0 (degenerate,
-    exactly equal frequencies) when even a vanishing spread violates the
-    tolerance. The deviation grows monotonically with delta, so each step just
-    compares its midpoint with the predicate's float threshold. Batched calls
-    find it from the ladder guess * (1 + _LADDER) around the closed-form
-    _spread_guess. When the final bracket checks out (lo within the tolerance,
-    hi not, both already evaluated when they are the threshold and the next
-    double), the result is bit for bit the plain bisection's; otherwise, or
-    when the ladder's answers are not True then False, that runs, one call a
-    step.
+    The result is that of an 80-step bisection on [0, 0.9]. The deviation grows
+    monotonically with delta, so each step just compares its midpoint with the
+    predicate's float threshold t. One call finds t: it evaluates both ends,
+    and the factors fl(1 -+ delta), through which alone the predicate sees
+    delta, at _WINDOW doubles either side of fl(1 -+ _spread_guess). A second
+    certifies the final bracket (lo within the tolerance, hi not). When either
+    fails, the plain bisection runs, one call a step.
     """
     if base_occ is None:
         base_occ = bose_occupancy(base_frequency, temperatures[1:])
 
-    def within(deltas):  # for each delta; skips a NaN deviation, as encode does
-        freqs = base_frequency * (1.0 + np.multiply.outer((-1.0, 1.0), deltas))
-        occ = _bose(freqs[..., None] / temperatures[1:])
-        return ~(np.fmax(*_group_deviation(occ, base_occ)) > group_tol)
+    def sides(factors):  # each factor within the tolerance; skips a NaN deviation
+        occ = _bose((base_frequency * factors)[..., None] / temperatures[1:])
+        return ~(_group_deviation(occ, base_occ) > group_tol)
+
+    def within(deltas):  # for each delta, on both sides
+        ok = sides(1.0 + np.multiply.outer((-1.0, 1.0), deltas))
+        return ok[0] & ok[1]
 
     with np.errstate(all="ignore"):
         guess = _spread_guess(base_occ, group_tol)
-        ladder = (guess * (1.0 + _LADDER)).tolist()
-        ok = within([1e-13, _MAX_SPREAD, *ladder]).tolist()
-        if not ok[0]:
+        factors = _EDGES
+        if 0.0 < guess < 0.5:
+            bits = np.array([[1.0 - guess], [1.0 + guess]]).view(np.int64)
+            factors = np.concatenate((_EDGES, (bits + _STEPS).view(float)), axis=1)
+        (low, top, *minus), (high, over, *plus) = sides(factors).tolist()
+        if not (low and high):
             return 0.0, True
-        if ok[1]:
+        if top and over:
             return _MAX_SPREAD, False
-        count = sum(ok[2:])
-        if guess > 0.0 and 0 < count < len(ladder) and all(ok[2 : 2 + count]):
-            # k points a call: its fixed cost is about 256 // n points' work (x86-64)
-            k = max(4, min(32, 256 // base_occ.size))
-            t = _threshold(within, *ladder[count - 1 : count + 1], k)
-            if t is not None:
-                lo, hi = _bisect(t)
-                # the search itself found t within the tolerance, the next double not
-                seen = (lo, hi) == (t, math.nextafter(t, 1.0))
-                if seen or within([lo, hi]).tolist() == [True, False]:
-                    return lo, False
+        t = _window_threshold(minus, plus, factors[:, 2:].tolist())
+        if t is not None:
+            lo, hi = _bisect(t)
+            if within([lo, hi]).tolist() == [True, False]:
+                return lo, False
         return _bisect(within)[0], False
 
 
-def _threshold(within, lo, hi, k):
-    """The last double within the tolerance between positive lo (within) and hi
-    (not), ordered as the integers of their bits: each round tries k evenly spaced
-    doubles in between, or all. None when some answers are not True then False."""
-    lo, hi = np.array([lo, hi]).view(np.int64).tolist()
-    while hi - lo > 1:
-        step = max(1, (hi - lo) // (k + 1))
-        inner = list(range(lo + step, hi, step))[:k]
-        ok = within(np.array(inner).view(float)).tolist()
+def _window_threshold(minus, plus, factors):
+    """The smaller side's last delta within the tolerance, from the answers minus
+    and plus at the factor rows (1 - delta, 1 + delta), ascending in delta; a
+    side that never leaves the tolerance leaves it to the certificate. None when
+    a side's answers are not True then False, or neither side leaves."""
+    t = math.inf
+    for sign, ok, side in zip((-1.0, 1.0), (minus, plus), factors):
         count = sum(ok)
-        if not all(ok[:count]):
+        if count == 0 or not all(ok[:count]):
             return None
-        lo, hi = [lo, *inner, hi][count : count + 2]
-    return float(np.array(lo).view(float))
+        if count < len(ok):
+            t = min(t, _last_delta(side[count - 1], sign))
+    return t if t < math.inf else None
+
+
+def _last_delta(factor, sign):
+    """Largest delta with fl(1 + sign * delta) == factor, for a factor in [1, 2)
+    (sign 1) or (0.5, 1] (sign -1): 1 + sign * delta reaches the midpoint of
+    factor and the next double away from 1, which rounds to factor when its
+    last significand bit is even (ties to even). Every step is exact."""
+    beyond = math.nextafter(factor, sign * math.inf)
+    delta = sign * (factor - 1.0) + 0.5 * abs(beyond - factor)
+    odd = int(math.ldexp(math.frexp(factor)[0], 53)) & 1
+    return math.nextafter(delta, 0.0) if odd else delta
 
 
 def _spread_guess(base_occ, group_tol):
     """Closed-form threshold of _solve_spread: the smallest relative frequency
     shift that moves some occupancy n_j by group_tol of itself, from
-    n(w) = 1/expm1(w/T) and w/T = L(n) with L(y) = log1p(1/y); NaN or infinite
-    when some n_j is 0 (it runs under _solve_spread's errstate)."""
+    n(w) = 1/expm1(w/T) and w/T = L(n) with L(y) = log1p(1/y). Its 1 -+ guess
+    lands within a few doubles of the predicate's factors at the threshold; it
+    is NaN or infinite when some n_j is 0 (it runs under _solve_spread's
+    errstate)."""
     level = np.log1p(1.0 / base_occ)
     up = np.log1p(1.0 / (base_occ * (1.0 - group_tol))) / level - 1.0
     down = 1.0 - np.log1p(1.0 / (base_occ * (1.0 + group_tol))) / level

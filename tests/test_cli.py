@@ -3,6 +3,7 @@ import io
 import json
 import logging
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,14 @@ def write_doc(tmp_path, name, doc):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def scale_input_occupancies(doc, factor):
+    """Scale a compiled matvec's input_occupancies and its row_dots alike, so
+    that the two still agree with each other."""
+    group = doc["groups"][0]
+    group["input_occupancies"] = [x * factor for x in group["input_occupancies"]]
+    doc["row_dots"] = [x * factor for x in doc["row_dots"]]
 
 
 @pytest.fixture
@@ -379,6 +388,8 @@ class TestRun:
             lambda d: d.update(drain_ratio=1e-12),
             lambda d: d.update(row_dots=[x * 1e-6 for x in d["row_dots"]]),
             lambda d: d["row_dots"].__setitem__(1, NAN),
+            lambda d: d["groups"][0].update(max_occupancy_dev=0.0),
+            lambda d: scale_input_occupancies(d, 1e-3),
         ],
         ids=[
             "index-out-of-range",
@@ -401,6 +412,8 @@ class TestRun:
             "drain_ratio-off-device",
             "row_dots-off-device",
             "nan-row_dots",
+            "max_occupancy_dev-off-device",
+            "input_occupancies-off-device",
         ],
     )
     def test_bad_compiled_program_is_validation_error(self, tmp_path, capsys, edit):
@@ -1001,9 +1014,29 @@ def edge_problems(draw):
     }
 
 
+# The fields of a compiled program that only the error bound reads.
+BOUND_FIELDS = ("drain_ratio", "row_dots", "max_occupancy_dev", "input_occupancies")
+
+
+def strict_json(text):
+    """text parsed as JSON, refusing NaN and Infinity."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} in strict JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def exact_product(problem):
+    """The problem's A @ b in exact rational arithmetic."""
+    vector = [Fraction(x) for x in problem["vector"]]
+    return [sum(Fraction(a) * x for a, x in zip(row, vector)) for row in problem["matrix"]]
+
+
 class TestCompiledForm:
     """A problem document and its compiled form exit alike, with the same
-    stdout and stderr, in every command that reads a device."""
+    stdout and stderr, in every command that reads a device; and no document,
+    edited or not, makes a report lie."""
 
     @settings(derandomize=True, database=None, max_examples=80, deadline=None)
     @given(problem=edge_problems())
@@ -1018,6 +1051,39 @@ class TestCompiledForm:
                 assert ran == run_main([*argv, compiled])
             else:  # each command compiles a problem document first
                 assert ran == (code, "", err)
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(
+        problem=edge_problems(),
+        form=st.sampled_from(["problem", "compiled", *BOUND_FIELDS]),
+        exponent=st.floats(-6.0, 6.0),
+    )
+    def test_no_document_makes_a_report_lie(self, tmp_path_factory, problem, form, exponent):
+        """run on a problem, its compiled form, or that form with one bound
+        field scaled by 10**exponent: a documented exit code, one line of
+        stderr on failure, strict JSON on success, and then every decoded value
+        within its bound of the exact product."""
+        where = tmp_path_factory.mktemp("edits")
+        doc = problem
+        if form != "problem":
+            code, out, _ = run_main(["compile", write_doc(where, "problem.json", problem)])
+            doc = strict_json(out) if code == 0 else problem
+        if form in BOUND_FIELDS and doc is not problem:
+            program = doc if "groups" in doc else next(iter(doc["parts"].values()))["program"]
+            owner = program if form in ("drain_ratio", "row_dots") else program["groups"][0]
+            value, factor = owner[form], 10.0**exponent
+            owner[form] = [x * factor for x in value] if isinstance(value, list) else value * factor
+        code, out, err = run_main(["run", "--no-timing", write_doc(where, "doc.json", doc)])
+        assert code in (0, EXIT_VALIDATION, EXIT_SOLVABILITY, EXIT_NUMERICAL)
+        assert err.count("\n") == (code != 0) and err.endswith("\n" if code else "")
+        if code != 0:
+            assert out == ""
+            return
+        report = strict_json(out)
+        for value, bound, exact in zip(
+            report["decoded"], report["error_bounds"], exact_product(problem), strict=True
+        ):
+            assert abs(Fraction(value) - exact) <= Fraction(bound)
 
 
 class TestValidate:
