@@ -180,27 +180,18 @@ def _solve_spread(base_frequency, temperatures, group_tol, base_occ=None):
             return 0.0, True
         if top and over:
             return _MAX_SPREAD, False
-        t = _window_threshold(minus, plus, factors[:, 2:].tolist())
-        if t is not None:
+        t = math.inf  # a side that never leaves the tolerance leaves t to the other
+        for sign, ok, side in zip((-1.0, 1.0), (minus, plus), factors[:, 2:].tolist()):
+            count = sum(ok)
+            if count == 0 or not all(ok[:count]):  # a miss, or not True then False
+                t = math.nan
+            elif count < len(ok):  # min keeps a NaN t
+                t = min(t, _last_delta(side[count - 1], sign))
+        if t < math.inf:  # and not NaN
             lo, hi = _bisect(t)
             if within([lo, hi]).tolist() == [True, False]:
                 return lo, False
         return _bisect(within)[0], False
-
-
-def _window_threshold(minus, plus, factors):
-    """The smaller side's last delta within the tolerance, from the answers minus
-    and plus at the factor rows (1 - delta, 1 + delta), ascending in delta; a
-    side that never leaves the tolerance leaves it to the certificate. None when
-    a side's answers are not True then False, or neither side leaves."""
-    t = math.inf
-    for sign, ok, side in zip((-1.0, 1.0), (minus, plus), factors):
-        count = sum(ok)
-        if count == 0 or not all(ok[:count]):
-            return None
-        if count < len(ok):
-            t = min(t, _last_delta(side[count - 1], sign))
-    return t if t < math.inf else None
 
 
 def _last_delta(factor, sign):
