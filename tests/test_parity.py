@@ -549,6 +549,92 @@ def test_spread_solve_certifies_a_bracket_it_has_not_evaluated(monkeypatch, brac
         assert after == ([2] if bracket == "wider" else [2] + [1] * 80)
 
 
+def bits(*values):
+    return np.array(values).view(np.int64).tolist()
+
+
+def synthetic_spread_solve(monkeypatch, within_factor, guess, k=compiler._WINDOW):
+    """_solve_spread on a one-reservoir device (w = T = 1, so the predicate's
+    frequencies are its factors) whose occupancy stays at its base value 1
+    where within_factor(factor) holds and doubles elsewhere (group_tol 0.5),
+    with the given guess and a window of k doubles a side. Returns the result,
+    the predicate's calls, the float thresholds given to _bisect and whether
+    each _bisect call ran the plain bisection."""
+    monkeypatch.setattr(
+        compiler, "_bose", lambda x: np.where(np.vectorize(within_factor)(x), 1.0, 2.0)
+    )
+    monkeypatch.setattr(compiler, "_spread_guess", lambda occ, tol: guess)
+    monkeypatch.setattr(compiler, "_STEPS", np.arange(-k, k + 1) * np.array([[-1], [1]]))
+    calls, plain = counted_spread_solves(monkeypatch)
+    thresholds, bisect = [], compiler._bisect
+
+    def recorded_bisect(decide):
+        if isinstance(decide, float):
+            thresholds.append(decide)
+        return bisect(decide)
+
+    monkeypatch.setattr(compiler, "_bisect", recorded_bisect)
+    temps = np.array([T_FLOOR, 1.0])
+    result = compiler._solve_spread(1.0, temps, 0.5, base_occ=np.array([1.0]))
+    return result, calls[0], thresholds, plain
+
+
+def plain_spread(within):
+    """The reference's 80 steps on [0, 0.9] for a predicate within(delta) that
+    holds at 1e-13 and fails at 0.9."""
+    lo, hi = 0.0, 0.9
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if within(mid) else (lo, mid)
+    return lo, False
+
+
+@pytest.mark.parametrize("k", [4, 5, 32])
+@pytest.mark.parametrize("gap", [1, 2, 3, 5, 6, 33, 1000, 10**7])
+def test_threshold_finds_last_double_within(monkeypatch, k, gap):
+    """A predicate that holds between the factors lo_f and hi_f: on the binding
+    side the last factor within lies gap // 3 doubles past fl(1 -+ guess); on
+    the other side, whose doubles are half (minus) or twice (plus) as wide,
+    just enough doubles further that its last delta within is larger. A window
+    of k doubles a side holds the binding turn when gap // 3 < k: the
+    threshold given to _bisect is then the last delta within (the next double
+    is not), and the certificate holds. Otherwise every window answer is True
+    and the plain bisection runs."""
+    guess, q = 1e-3, gap // 3
+    centre = dict(zip((-1.0, 1.0), bits(1.0 - guess, 1.0 + guess)))
+    for binding in (-1.0, 1.0):
+        other = 2 * q + 3 if binding > 0 else q // 2 + 2
+        past = {s: q if s == binding else other for s in (-1.0, 1.0)}
+        lo_f, hi_f = (float(np.int64(centre[s] + s * past[s]).view(float)) for s in (-1, 1))
+
+        def within(delta, lo_f=lo_f, hi_f=hi_f):
+            return lo_f <= 1.0 - delta and 1.0 + delta <= hi_f
+
+        result, calls, thresholds, plain = synthetic_spread_solve(
+            monkeypatch, lambda f, lo_f=lo_f, hi_f=hi_f: lo_f <= f <= hi_f, guess, k
+        )
+        assert result == plain_spread(within)
+        if q < k:
+            [t] = thresholds
+            assert within(t) and not within(math.nextafter(t, 1.0))
+            assert (calls, plain) == (2, [False])
+        else:
+            assert (calls, thresholds, plain) == (81, [], [True])
+
+
+def test_threshold_gives_up_on_non_monotone_predicate(monkeypatch):
+    """Window answers that alternate (a factor within when its last significand
+    bit is even) are not True then False: after the one window call, only the
+    plain bisection runs, with no certificate."""
+
+    def alternating(f):
+        return abs(f - 1.0) < 1e-6 or (abs(f - 1.0) < 0.5 and bits(f)[0] % 2 == 0)
+
+    result, calls, thresholds, plain = synthetic_spread_solve(monkeypatch, alternating, 1e-3)
+    assert result == plain_spread(lambda d: alternating(1.0 - d) and alternating(1.0 + d))
+    assert (calls, thresholds, plain) == (81, [], [True])
+
+
 @pytest.mark.parametrize("sign", [-1.0, 1.0])
 def test_last_delta_is_the_rounding_boundary(sign):
     """_last_delta(F, sign) is the largest delta with fl(1 + sign * delta) on
