@@ -213,12 +213,12 @@ def problems() -> dict:
     return cases
 
 
-def _scale_input_occupancies(doc: dict, factor: float = 1e-3):
+def _scale_input_occupancies(doc: dict):
     """Scale a compiled matvec's input_occupancies and, so that they still agree
-    with each other, its row_dots by factor."""
+    with each other, its row_dots by 1e-3."""
     group = doc["groups"][0]
-    group["input_occupancies"] = [x * factor for x in group["input_occupancies"]]
-    doc["row_dots"] = [x * factor for x in doc["row_dots"]]
+    group["input_occupancies"] = [x * 1e-3 for x in group["input_occupancies"]]
+    doc["row_dots"] = [x * 1e-3 for x in doc["row_dots"]]
 
 
 def _edited(doc: dict, edit) -> dict:

@@ -168,8 +168,7 @@ def program_from_dict(doc: dict) -> CompiledProgram:
         for group in groups:
             idx = list(group.mode_indices)
             occ = physics.bose_occupancy(group.base_frequency, device.temperatures[1:])
-            # a lone group holds every mode, so it reads the table without a copy
-            dev = compiler._max_deviation(table if len(groups) == 1 else table[idx], occ)
+            dev = compiler._max_deviation(table[idx], occ)
             checks.append(("input_occupancies", occ, group.input_occupancies, 0.0))
             checks.append(("max_occupancy_dev", dev, group.max_occupancy_dev, DEVIATION_ATOL))
             dots[idx] = (p_hat @ group.input_occupancies)[idx]

@@ -44,12 +44,12 @@ def write_doc(tmp_path, name, doc):
     return str(path)
 
 
-def scale_input_occupancies(doc, factor):
-    """Scale a compiled matvec's input_occupancies and its row_dots alike, so
-    that the two still agree with each other."""
+def scale_input_occupancies(doc):
+    """Scale a compiled matvec's input_occupancies and its row_dots alike by
+    1e-3, so that the two still agree with each other."""
     group = doc["groups"][0]
-    group["input_occupancies"] = [x * factor for x in group["input_occupancies"]]
-    doc["row_dots"] = [x * factor for x in doc["row_dots"]]
+    group["input_occupancies"] = [x * 1e-3 for x in group["input_occupancies"]]
+    doc["row_dots"] = [x * 1e-3 for x in doc["row_dots"]]
 
 
 @pytest.fixture
@@ -389,7 +389,7 @@ class TestRun:
             lambda d: d.update(row_dots=[x * 1e-6 for x in d["row_dots"]]),
             lambda d: d["row_dots"].__setitem__(1, NAN),
             lambda d: d["groups"][0].update(max_occupancy_dev=0.0),
-            lambda d: scale_input_occupancies(d, 1e-3),
+            scale_input_occupancies,
         ],
         ids=[
             "index-out-of-range",
