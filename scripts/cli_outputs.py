@@ -24,8 +24,9 @@ a compiled matvec whose group lists its modes in reverse (it reports what the
 document as compiled does), and invalid inputs (non-finite numbers, an
 overflowing base frequency, a total_rate that makes the drain couplings
 subnormal, compiled documents with mistyped fields, an unknown kind, a
-multi-mode scalar, or a drain_ratio, row_dots, max_occupancy_dev or
+multi-mode scalar, a drain_ratio, row_dots, max_occupancy_dev, spread or
 input_occupancies (scaled with the row_dots) that disagrees with the device,
+an occupancy_floor that is not positive,
 raw configs with a non-finite field, the drain at index 1, flows that overflow
 or crossbar conductances that underflow). The case
 `other-commands` runs `validate`, the `transient` sweep, a `run` whose --output
@@ -168,6 +169,21 @@ def problems() -> dict:
         small, lambda d: d["groups"][0].update(max_occupancy_dev=0.0)
     )
     cases["invalid-input-occupancies-off-device"] = _compiled(small, _scale_input_occupancies)
+    # a recorded occupancy_floor that EncodeSettings refuses, and a spread that
+    # the group's frequencies do not have, on a matvec with zero inputs
+    floored = {
+        "kind": "matvec",
+        "matrix": [[0.5, 0.5, 1.0], [0.2, 0.8, 0.1]],
+        "vector": [0, 0, 2],
+        "settings": {"group_tol": 1e-2},
+    }
+    for name, floor in (("negative", -10.0), ("zero", 0.0), ("small-negative", -1e-3)):
+        cases[f"invalid-occupancy-floor-{name}"] = _compiled(
+            floored, lambda d, floor=floor: d.update(occupancy_floor=floor)
+        )
+    cases["invalid-spread-off-device"] = _compiled(
+        floored, lambda d: d["groups"][0].update(spread=0.5)
+    )
     raw = cases["raw-config"]
     cases["invalid-nan-frequency"] = _edited(
         raw, lambda d: d["modes"][0].update(frequency=float("nan"))

@@ -22,7 +22,8 @@ For each size (16x16, 64x64, 256x256, 1024x256) and kind (`matvec`,
 
 `stationary_flows`, `drain_readout` and `settling_time` get a fresh copy of
 each device on every call, made outside the timed region, so that the
-occupancy table a device computes once is built inside each timed call.
+occupancy pass a device makes once (and, for `stationary_flows`, the
+occupancy table) is built inside each timed call.
 
 Each (size, kind) block runs in a child process of its own, ROUNDS times per
 tree. With --against, the two trees alternate block by block, and which of

@@ -37,9 +37,9 @@ from thermoflow.physics import ConfigError, DeviceConfig
 
 SCHEMA_VERSION = 1
 
-# Relative tolerance of a compiled program's drain_ratio, row_dots,
-# input_occupancies and max_occupancy_dev against their values derived from its
-# device, which differ from them by rounding only.
+# Relative tolerance of a compiled program's drain_ratio, row_dots, and each
+# group's frequency layout, input_occupancies and max_occupancy_dev against
+# their values derived from its device, which differ from them by rounding only.
 DERIVED_RTOL = 1e-12
 
 # Absolute tolerance of a group's max_occupancy_dev on top: a relative deviation
@@ -149,12 +149,18 @@ def program_from_dict(doc: dict) -> CompiledProgram:
         raise InputError(f"compiled program field of the wrong type: {exc}") from exc
     if fields["kind"] not in ("scalar", "matvec"):
         raise InputError(f"unknown compiled program kind: {fields['kind']!r}")
+    # the recorded settings obey the rules that encode's settings do
+    EncodeSettings(
+        drain_ratio=fields["drain_ratio"], occupancy_floor=fields["occupancy_floor"]
+    ).validate()
     program = CompiledProgram(config=config_from_dict(config), groups=groups, **fields)
     k, n = program.config.n_modes, program.config.n_reservoirs - 1
     if program.kind == "scalar" and k != 1:
         raise InputError(f"a scalar program holds exactly one mode, not {k}")
     if sorted(i for g in groups for i in g.mode_indices) != list(range(k)):
         raise InputError(f"groups must hold each of the {k} modes exactly once")
+    if not all(g.mode_indices for g in groups):
+        raise InputError("every group must hold at least one mode")
     if program.row_scales.shape != (k,) or program.row_dots.shape != (k,):
         raise InputError(f"row_scales and row_dots need one entry per mode ({k})")
     if any(g.input_occupancies.shape != (n,) for g in groups):
@@ -168,7 +174,10 @@ def program_from_dict(doc: dict) -> CompiledProgram:
         for group in groups:
             idx = list(group.mode_indices)
             occ = physics.bose_occupancy(group.base_frequency, device.temperatures[1:])
-            dev = compiler._max_deviation(table[idx], occ)
+            dev = compiler._max_deviation(lambda: table[idx], occ)
+            spread = group.spread if len(idx) > 1 else 0.0  # encode's layout
+            layout = group.base_frequency * (1.0 + np.linspace(-spread, spread, len(idx)))
+            checks.append(("spread", np.sort(device.frequencies[idx]), layout, 0.0))
             checks.append(("input_occupancies", occ, group.input_occupancies, 0.0))
             checks.append(("max_occupancy_dev", dev, group.max_occupancy_dev, DEVIATION_ATOL))
             dots[idx] = (p_hat @ group.input_occupancies)[idx]

@@ -305,7 +305,9 @@ def _compile_groups(tasks, temps, settings, kind, shared) -> CompiledProgram:
             base_frequency=w_g,
             spread=spread,
             max_occupancy_dev=_max_deviation(
-                config.occupancies[rows.start : rows.stop, 1:], input_occ
+                lambda: config.occupancies[rows.start : rows.stop, 1:],
+                input_occ,
+                config.occupancy_pass.extremes[gid],
             ),
             degenerate=degenerate,
             input_occupancies=input_occ,
@@ -324,16 +326,21 @@ def _compile_groups(tasks, temps, settings, kind, shared) -> CompiledProgram:
     )
 
 
-def _max_deviation(occ, base_occ):
-    """Largest _group_deviation of the rows of occ, skipping a row whose
-    deviation is NaN (0 when every row's is). |x - b| / b is monotone on each
-    side of b under correct rounding, so each column deviates most at its least
-    or greatest occupancy; a NaN anywhere in a column shows there too, and then
-    every row is checked."""
+def _max_deviation(rows, base_occ, extremes=None):
+    """Largest _group_deviation of a group's (m, n) occupancy rows, rows(),
+    skipping a row whose deviation is NaN (0 when every row's is). |x - b| / b
+    is monotone on each side of b under correct rounding, so each column
+    deviates most at its least or greatest occupancy, the rows of extremes
+    (taken from rows() unless given, as encode takes them from the device's
+    occupancy pass); a NaN anywhere in a column shows there too, and only then
+    is every row of rows() checked."""
     with np.errstate(all="ignore"):  # a base occupancy of 0 or inf: 0/0, x/0, inf - inf
-        dev = _group_deviation(np.stack((occ.min(axis=0), occ.max(axis=0))), base_occ)
+        if extremes is None:
+            occ = rows()
+            extremes = np.stack((occ.min(axis=0), occ.max(axis=0)))
+        dev = _group_deviation(extremes, base_occ)
         if np.isnan(dev).any():
-            dev = _by_row_blocks(lambda o: _group_deviation(o, base_occ), occ)
+            dev = _by_row_blocks(lambda o: _group_deviation(o, base_occ), rows())
     return max(0.0, *dev.tolist())
 
 
@@ -463,11 +470,6 @@ def parallel_group_products(program: CompiledProgram, flows: FlowReport):
     P_g @ n(w_g, T), the input re-evaluated at that group's base frequency."""
     drain, bounds = flows.per_channel[:, 0], estimate_encoding_error(program)
     return [_decode(program, drain, g.mode_indices, bounds) for g in program.groups]
-
-
-def signed_split(a):
-    """Split A into non-negative parts with A = A_plus - A_minus exactly."""
-    return tuple(part for _, part in _signed_parts(np.asarray(a, dtype=float)))
 
 
 def _signed_parts(a):

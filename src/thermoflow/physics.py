@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,7 +25,8 @@ T_FLOOR = 1e-9
 OCCUPANCY_FLUSH = 1e-300
 _X_FLUSH = 690.77552789821368
 
-# Entries of a row block of _by_row_blocks: 128 KB temporaries, whatever K.
+# Entries of a row block of DeviceConfig.occupancy_pass and _by_row_blocks:
+# 128 KB temporaries, whatever K.
 _BLOCK_ENTRIES = 16384
 
 
@@ -90,6 +92,16 @@ def _read_only(values, dtype=float) -> np.ndarray:
     return array
 
 
+class OccupancyPass(NamedTuple):
+    """What the drain readout and encode read of a device's occupancy table:
+    the stationary occupancies n_tilde (K,), the drain column n_0 (K,), and per
+    group id the column minima and maxima (2, n) of the group's n_j, j >= 1."""
+
+    n_tilde: np.ndarray
+    drain: np.ndarray
+    extremes: dict
+
+
 @dataclass(frozen=True)
 class DeviceConfig:
     """Full physical device as four read-only arrays.
@@ -101,7 +113,10 @@ class DeviceConfig:
     once at construction; all operations on a config are pure. An input that is
     already a read-only array owning its data is held as is, any other copied.
     rates (K,), the total rates Gamma_kappa = couplings.sum(axis=1), is computed
-    by that validation and kept read-only.
+    by that validation and kept read-only. Two views of the Bose occupancies
+    n_j(w_kappa, T_j) are cached on first use: occupancy_pass, which the
+    readout and encode read, and the whole table occupancies, which only the
+    callers that read all of it build.
     """
 
     frequencies: np.ndarray
@@ -145,12 +160,42 @@ class DeviceConfig:
     @cached_property
     def occupancies(self) -> np.ndarray:
         """Read-only (K, n+1) table n_j(w_kappa, T_j) of reservoir occupancies at
-        the mode frequencies, shared by the flows, the dynamics and the crossbar;
-        built on first use ignoring floating-point errors, whatever the errstate."""
+        the mode frequencies, shared by the flow table, the transient and the
+        crossbar; built on first use ignoring floating-point errors, whatever
+        the errstate."""
         with np.errstate(all="ignore"):
             occ = _bose(self.frequencies[:, None] / self.temperatures[None, :])
         occ.setflags(write=False)
         return occ
+
+    @cached_property
+    def occupancy_pass(self) -> OccupancyPass:
+        """The read-only OccupancyPass, from one pass over the table's rows in
+        blocks of at most _BLOCK_ENTRIES entries and one group id each, so that
+        no (K, n+1) array is held (a device whose group id changes at every
+        mode takes a block a mode). Every entry, and every row's n_tilde, has
+        the table's bits; floating-point errors are ignored, as in the table."""
+        w, t, g, ids = self.frequencies, self.temperatures, self.couplings, self.group_ids
+        n_tilde, drain, extremes = np.empty(w.size), np.empty(w.size), {}
+        runs = np.flatnonzero(ids[1:] != ids[:-1]) + 1
+        edges = sorted({*range(0, w.size, max(1, _BLOCK_ENTRIES // t.size)), *runs.tolist()})
+        with np.errstate(all="ignore"):
+            for start, stop in zip(edges, [*edges[1:], w.size]):
+                occ = _bose(w[start:stop, None] / t)
+                drain[start:stop] = occ[:, 0]
+                low, high = occ[:, 1:].min(axis=0), occ[:, 1:].max(axis=0)
+                gid = int(ids[start])
+                if gid not in extremes:
+                    extremes[gid] = np.stack((low, high))
+                else:  # min and max are exact, and keep a NaN
+                    np.minimum(extremes[gid][0], low, out=extremes[gid][0])
+                    np.maximum(extremes[gid][1], high, out=extremes[gid][1])
+                occ *= g[start:stop]
+                n_tilde[start:stop] = occ.sum(axis=1)
+            n_tilde /= self.rates
+        for array in (n_tilde, drain, *extremes.values()):
+            array.setflags(write=False)
+        return OccupancyPass(n_tilde, drain, extremes)
 
     @property
     def n_modes(self):
@@ -174,29 +219,30 @@ class FlowReport:
 
 
 def stationary_state(config: DeviceConfig):
-    """Occupancy table, total rate Gamma_kappa and stationary occupancy n_tilde.
+    """Occupancy table, total rate Gamma_kappa and stationary occupancy n_tilde,
+    for the callers that read the whole table (the flow table and the transient).
 
     n_tilde[kappa] = sum_j gamma[kappa][j] n_j(w_kappa) / Gamma_kappa is the fixed
-    point of every mode's rate equation and the reference of every channel flow.
+    point of every mode's rate equation and the reference of every channel flow;
+    it comes from the device's occupancy pass.
     """
-    occ, rates = config.occupancies, config.rates
-    n_tilde = _by_row_blocks(lambda g, n: (g * n).sum(axis=1), config.couplings, occ)
-    return occ, rates, n_tilde / rates
+    return config.occupancies, config.rates, config.occupancy_pass.n_tilde
 
 
-def _by_row_blocks(reduce_rows, *tables):
-    """reduce_rows(*tables), which reduces each row of the (K, N) tables on its
+def _by_row_blocks(reduce_rows, table):
+    """reduce_rows(table), which reduces each row of the (K, N) table on its
     own, computed block by block of rows: the same bits, smaller temporaries."""
-    step = max(1, _BLOCK_ENTRIES // max(1, tables[0].shape[1]))
-    starts = range(0, max(1, len(tables[0])), step)
-    blocks = [reduce_rows(*(t[i : i + step] for t in tables)) for i in starts]
+    step = max(1, _BLOCK_ENTRIES // max(1, table.shape[1]))
+    starts = range(0, max(1, len(table)), step)
+    blocks = [reduce_rows(table[i : i + step]) for i in starts]
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 def drain_flows(config: DeviceConfig) -> np.ndarray:
-    """J[:, 0] = w gamma[:, 0] (n_0 - n_tilde), bit for bit stationary_flows'."""
-    occ, _, n_tilde = stationary_state(config)
-    return config.frequencies * config.couplings[:, 0] * (occ[:, 0] - n_tilde)
+    """J[:, 0] = w gamma[:, 0] (n_0 - n_tilde), bit for bit stationary_flows',
+    from the device's occupancy pass alone: no occupancy table is built."""
+    state = config.occupancy_pass
+    return config.frequencies * config.couplings[:, 0] * (state.drain - state.n_tilde)
 
 
 def stationary_flows(config: DeviceConfig) -> FlowReport:

@@ -35,6 +35,15 @@ def weighted_occupancy(config, kappa):
     return float(coupling_weights(config, kappa) @ occ)
 
 
+def counted_builds(monkeypatch, name):
+    """A list that gains each device whose cached DeviceConfig property name is
+    built from then on."""
+    built, prop = [], DeviceConfig.__dict__[name]
+    build = prop.func
+    monkeypatch.setattr(prop, "func", lambda config: built.append(config) or build(config))
+    return built
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

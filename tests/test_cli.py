@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import counted_builds
 from thermoflow import circuit, cli, dynamics, physics
 from thermoflow.cli import (
     EXIT_NUMERICAL,
@@ -390,6 +391,12 @@ class TestRun:
             lambda d: d["row_dots"].__setitem__(1, NAN),
             lambda d: d["groups"][0].update(max_occupancy_dev=0.0),
             scale_input_occupancies,
+            lambda d: d.update(occupancy_floor=-10.0),
+            lambda d: d.update(occupancy_floor=0.0),
+            lambda d: d.update(occupancy_floor=-1e-3),
+            lambda d: d["groups"][0].update(spread=0.5),
+            lambda d: d["groups"][0].update(spread=-d["groups"][0]["spread"]),
+            lambda d: d["groups"].append(dict(d["groups"][0], group_id=2, mode_indices=[])),
         ],
         ids=[
             "index-out-of-range",
@@ -414,6 +421,12 @@ class TestRun:
             "nan-row_dots",
             "max_occupancy_dev-off-device",
             "input_occupancies-off-device",
+            "negative-occupancy_floor",
+            "zero-occupancy_floor",
+            "small-negative-occupancy_floor",
+            "spread-off-device",
+            "negative-spread",
+            "empty-group",
         ],
     )
     def test_bad_compiled_program_is_validation_error(self, tmp_path, capsys, edit):
@@ -934,7 +947,8 @@ class TestCircuit:
 
 
 class TestOccupancyTable:
-    """A command builds each device's occupancy table once and shares it."""
+    """A command builds each device's occupancy table and occupancy pass once
+    and shares them."""
 
     @pytest.mark.parametrize(
         "argv, kind, devices, compiled",
@@ -962,22 +976,17 @@ class TestOccupancyTable:
     def test_one_build_per_device(
         self, tmp_path, monkeypatch, argv, kind, devices, compiled
     ):
-        # a problem document runs on the devices encode built, whose table
-        # encode already used for max_occupancy_dev
+        # a problem document runs on the devices encode built, whose occupancy
+        # pass encode already used for max_occupancy_dev; the flow table, the
+        # transient and the crossbar build the table
         doc = golden_compile_problem(kind)
         path = write_doc(tmp_path, "doc.json", compile_problem(doc) if compiled else doc)
-        built = []
-        table = physics.DeviceConfig.__dict__["occupancies"]
-        build = table.func
-
-        def counted(config):
-            built.append(config)
-            return build(config)
-
-        monkeypatch.setattr(table, "func", counted)
+        tables = counted_builds(monkeypatch, "occupancies")
+        passes = counted_builds(monkeypatch, "occupancy_pass")
         assert main([*argv, path, "--output", str(tmp_path / "out")]) == 0
         # run: flows and settling time; transient: evolve and two settling times
-        assert len(built) == len({id(config) for config in built}) == devices
+        assert len(tables) == len({id(config) for config in tables}) == devices
+        assert len(passes) == len({id(config) for config in passes}) == devices
 
 
 def run_main(argv):

@@ -27,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import counted_builds
 from thermoflow import cli, compiler, dynamics, physics
 from thermoflow.circuit import (
     ABSENT,
@@ -405,7 +406,7 @@ def test_signed_parts_match_row_loop(m, n, settings):
     s = EncodeSettings(**settings)
     parts = compiler.encode_signed_matvec(a, b, **settings)
     for sign, rows, program in parts:
-        part = compiler.signed_split(a)[0 if sign > 0 else 1][rows]
+        part = dict(compiler._signed_parts(a))[sign][rows]
         assert_program_matches(program, ref_compile([(part, s.base_frequency)], b, s))
         flows = physics.stationary_flows(program.config)
         assert_decode_matches(program, [compiler.decode_matvec(program, flows)])
@@ -727,7 +728,8 @@ def derived_gaps(docs):
             both = occ != 0.0  # a flushed occupancy flushes on every host
             assert (occ[~both] == recorded[~both]).all()
             gap = np.abs(occ - recorded)[both] / np.minimum(occ, recorded)[both]
-            dev = compiler._max_deviation(occupancies[list(group.mode_indices)], occ)
+            idx = list(group.mode_indices)
+            dev = compiler._max_deviation(lambda: occupancies[idx], occ)
             occ_gap = max(occ_gap, *gap.tolist())
             dev_gap = max(dev_gap, abs(dev - group.max_occupancy_dev))
     return occ_gap, dev_gap
@@ -1067,7 +1069,8 @@ def test_pipelines_match_decode_of_flow_table(name, signed):
 def test_drain_flows_match_flow_table():
     """drain_flows against the drain column of stationary_flows and of the
     fresh-temporary reference, on devices of several groups and on ones whose
-    row-blocked reductions take many blocks of wide or narrow rows."""
+    row-blocked reductions take many blocks of wide or narrow rows; and each
+    group's column extremes in the occupancy pass against the table's."""
     a, b = problem(31, 257, 16)
     a2, _ = problem(32, 7, 16)
     settings = {k: v for k, v in OVERRIDES.items() if k != "base_frequency"}
@@ -1077,13 +1080,79 @@ def test_drain_flows_match_flow_table():
         compiler.encode_matvec(*problem(34, 20000, 1)),
     ]
     programs += [compiler.encode_matvec(a, b, **s) for a, b, s in wide_problems(35, 20)]
+    # groups of 100, 1 and 61 rows, whose edges fall inside the occupancy
+    # pass's row blocks of 54 rows; and devices of one or two groups, every
+    # tenth at occupancy floor 1e-300, where a zero input flushes to 0 and the
+    # group deviation reads the table
+    a3, b3 = problem(36, 162, 300)
+    tasks = [(a3[:100], 1.0), (a3[100:101], 40.0), (a3[101:], 0.02)]
+    programs.append(compiler.encode_parallel_matvec(tasks, b3))
+    programs += [
+        compiler.encode_parallel_matvec(tasks, b, **s)
+        for tasks, b, s in deviation_cases(37, 30)
+    ]
+    assert sum(len(program.groups) > 1 for program in programs) == 22
     for program in programs:
-        config = program.config
+        for group in program.groups:
+            assert group.max_occupancy_dev == ref_max_occupancy_dev(program, group)
+    # encoded drains sit at T_FLOOR, where n_0 is 0: these drains are warm, and
+    # their group ids recur in runs of every length
+    rng = np.random.default_rng(38)
+    raw = [
+        DeviceConfig(
+            rng.uniform(0.5, 3.0, k),
+            rng.uniform(0.1, 5.0, n + 1),
+            rng.uniform(0.0, 2.0, (k, n + 1)),
+            rng.integers(1, 4, k),
+        )
+        for k, n in ((300, 70), (40, 1), (1, 20000))
+    ]
+    for config in [program.config for program in programs] + raw:
+        extremes = config.occupancy_pass.extremes  # before the table exists
         table = physics.stationary_flows(config).per_channel
         assert_same(table, ref_flows(config))
         assert_same(physics.drain_flows(config), table[:, 0])
-        for group in program.groups:
-            assert group.max_occupancy_dev == ref_max_occupancy_dev(program, group)
+        assert sorted(extremes) == np.unique(config.group_ids).tolist()
+        for gid, found in extremes.items():
+            occ = config.occupancies[config.group_ids == gid, 1:]
+            expected = np.stack((occ.min(axis=0), occ.max(axis=0)))
+            assert np.array_equal(found, expected, equal_nan=True)
+
+
+@pytest.mark.parametrize(
+    "pipeline", ["run_matvec", "signed_matvec", "encode_matvec", "settling_time"]
+)
+def test_readout_builds_no_occupancy_table(monkeypatch, pipeline):
+    """run_matvec, signed_matvec, encode_matvec followed by drain_flows, and
+    settling_time read each device's occupancy pass, built once, and never
+    build its occupancy table."""
+    a, b = problem(41, 300, 70, signed=pipeline == "signed_matvec")
+    tables = counted_builds(monkeypatch, "occupancies")
+    passes = counted_builds(monkeypatch, "occupancy_pass")
+    if pipeline in ("run_matvec", "signed_matvec"):
+        getattr(compiler, pipeline)(a, b)
+    else:
+        config = compiler.encode_matvec(a, b).config
+        physics.drain_flows(config)
+        if pipeline == "settling_time":
+            config = dataclasses.replace(config)
+            dynamics.settling_time(config, np.zeros(config.n_modes), 1e-6)
+    assert tables == []
+    assert len(passes) == len({id(config) for config in passes})
+    assert len(passes) == (2 if pipeline in ("signed_matvec", "settling_time") else 1)
+
+
+def test_nan_group_deviation_reads_the_table(monkeypatch):
+    """A group whose column extremes give a NaN deviation (an input floored
+    below the occupancy flush) checks its rows one by one, from the table."""
+    fallbacks = counted_fallbacks(monkeypatch)
+    tables = counted_builds(monkeypatch, "occupancies")
+    a, b, settings = drain_case("degenerate", False)
+    program = compiler.encode_matvec(a, b, **settings)
+    assert fallbacks == [3]
+    assert len(tables) == 1 and tables[0] is program.config
+    [group] = program.groups
+    assert group.max_occupancy_dev == ref_table_deviation(program, group)
 
 
 def settling_configs():
@@ -1340,9 +1409,11 @@ def test_transient_peak_memory_within_trace_table(tmp_path):
     assert peak <= 3.5 * 1300 * (1 + 256 + 257) * 8
 
 
-def test_run_matvec_peak_memory_within_three_devices():
-    """One run_matvec at 1024x256 holds at most three device-size arrays at a
-    time: the coupling block, the occupancy table and small temporaries."""
+def test_run_matvec_peak_memory_within_one_and_a_half_devices():
+    """One run_matvec at 1024x256 holds at most one and a half device-size
+    arrays at a time: the coupling block and the occupancy pass's row blocks
+    (a fifth of a device), but no occupancy table. Its traced peak is 1.25
+    devices; the bound leaves a quarter of a device on top."""
     a, b = problem(1024, 1024, 256)
     compiler.run_matvec(a, b)
     tracemalloc.start()
@@ -1351,13 +1422,14 @@ def test_run_matvec_peak_memory_within_three_devices():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.0 * a.shape[0] * (a.shape[1] + 1) * 8
+    assert peak <= 1.5 * a.shape[0] * (a.shape[1] + 1) * 8
 
 
-def test_signed_matvec_peak_memory_within_five_and_a_half_devices():
+def test_signed_matvec_peak_memory_within_three_and_a_half_devices():
     """One signed_matvec at 1024x256 builds and compiles one split part at a
-    time: it holds both parts' devices (coupling block and occupancy table
-    each) and one split part, never both."""
+    time: it holds both parts' coupling blocks and one split part, never both,
+    and no occupancy table. Its traced peak is 3.3 devices; the bound leaves a
+    fifth of a device on top."""
     a, b = problem(1025, 1024, 256, signed=True)
     compiler.signed_matvec(a, b)
     tracemalloc.start()
@@ -1366,4 +1438,4 @@ def test_signed_matvec_peak_memory_within_five_and_a_half_devices():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5.5 * a.shape[0] * (a.shape[1] + 1) * 8
+    assert peak <= 3.5 * a.shape[0] * (a.shape[1] + 1) * 8
