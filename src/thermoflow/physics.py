@@ -177,7 +177,7 @@ class DeviceConfig:
         the table's bits; floating-point errors are ignored, as in the table."""
         w, t, g, ids = self.frequencies, self.temperatures, self.couplings, self.group_ids
         n_tilde, drain, extremes = np.empty(w.size), np.empty(w.size), {}
-        runs = np.flatnonzero(ids[1:] != ids[:-1]) + 1
+        runs = (ids[1:] != ids[:-1]).nonzero()[0] + 1
         edges = sorted({*range(0, w.size, max(1, _BLOCK_ENTRIES // t.size)), *runs.tolist()})
         with np.errstate(all="ignore"):
             for start, stop in zip(edges, [*edges[1:], w.size]):
@@ -186,7 +186,7 @@ class DeviceConfig:
                 low, high = occ[:, 1:].min(axis=0), occ[:, 1:].max(axis=0)
                 gid = int(ids[start])
                 if gid not in extremes:
-                    extremes[gid] = np.stack((low, high))
+                    extremes[gid] = np.array((low, high))
                 else:  # min and max are exact, and keep a NaN
                     np.minimum(extremes[gid][0], low, out=extremes[gid][0])
                     np.maximum(extremes[gid][1], high, out=extremes[gid][1])
