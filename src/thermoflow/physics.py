@@ -171,28 +171,31 @@ class DeviceConfig:
     @cached_property
     def occupancy_pass(self) -> OccupancyPass:
         """The read-only OccupancyPass, from one pass over the table's rows in
-        blocks of at most _BLOCK_ENTRIES entries and one group id each, so that
-        no (K, n+1) array is held (a device whose group id changes at every
-        mode takes a block a mode). Every entry, and every row's n_tilde, has
-        the table's bits; floating-point errors are ignored, as in the table."""
+        blocks of at most _BLOCK_ENTRIES entries, so that no (K, n+1) array is
+        held. Every entry, and every row's n_tilde, has the table's bits: the
+        occupancies are evaluated ignoring floating-point errors, as in the
+        table, and n_tilde is reduced under the caller's errstate."""
         w, t, g, ids = self.frequencies, self.temperatures, self.couplings, self.group_ids
         n_tilde, drain, extremes = np.empty(w.size), np.empty(w.size), {}
-        runs = (ids[1:] != ids[:-1]).nonzero()[0] + 1
-        edges = sorted({*range(0, w.size, max(1, _BLOCK_ENTRIES // t.size)), *runs.tolist()})
-        with np.errstate(all="ignore"):
-            for start, stop in zip(edges, [*edges[1:], w.size]):
-                occ = _bose(w[start:stop, None] / t)
-                drain[start:stop] = occ[:, 0]
-                low, high = occ[:, 1:].min(axis=0), occ[:, 1:].max(axis=0)
-                gid = int(ids[start])
+        step = max(1, _BLOCK_ENTRIES // t.size)
+        for start in range(0, w.size, step):
+            rows = slice(start, start + step)
+            with np.errstate(all="ignore"):
+                occ = _bose(w[rows, None] / t)
+            drain[rows] = occ[:, 0]
+            block_ids = ids[rows]
+            mixed = not (block_ids == block_ids[0]).all()  # encode's ids come in runs
+            for gid in np.unique(block_ids).tolist() if mixed else [int(block_ids[0])]:
+                part = occ[block_ids == gid, 1:] if mixed else occ[:, 1:]
+                low, high = part.min(axis=0), part.max(axis=0)
                 if gid not in extremes:
                     extremes[gid] = np.array((low, high))
                 else:  # min and max are exact, and keep a NaN
                     np.minimum(extremes[gid][0], low, out=extremes[gid][0])
                     np.maximum(extremes[gid][1], high, out=extremes[gid][1])
-                occ *= g[start:stop]
-                n_tilde[start:stop] = occ.sum(axis=1)
-            n_tilde /= self.rates
+            occ *= g[rows]
+            n_tilde[rows] = occ.sum(axis=1)
+        n_tilde /= self.rates
         for array in (n_tilde, drain, *extremes.values()):
             array.setflags(write=False)
         return OccupancyPass(n_tilde, drain, extremes)
@@ -219,22 +222,22 @@ class FlowReport:
 
 
 def stationary_state(config: DeviceConfig):
-    """Occupancy table, total rate Gamma_kappa and stationary occupancy n_tilde,
-    for the callers that read the whole table (the flow table and the transient).
+    """Occupancy table, total rate Gamma_kappa and stationary occupancy n_tilde.
 
     n_tilde[kappa] = sum_j gamma[kappa][j] n_j(w_kappa) / Gamma_kappa is the fixed
-    point of every mode's rate equation and the reference of every channel flow;
-    it comes from the device's occupancy pass.
+    point of every mode's rate equation and the reference of every channel flow.
     """
-    return config.occupancies, config.rates, config.occupancy_pass.n_tilde
+    occ, rates = config.occupancies, config.rates
+    n_tilde = _by_row_blocks(lambda g, n: (g * n).sum(axis=1), config.couplings, occ)
+    return occ, rates, n_tilde / rates
 
 
-def _by_row_blocks(reduce_rows, table):
-    """reduce_rows(table), which reduces each row of the (K, N) table on its
+def _by_row_blocks(reduce_rows, *tables):
+    """reduce_rows(*tables), which reduces each row of the (K, N) tables on its
     own, computed block by block of rows: the same bits, smaller temporaries."""
-    step = max(1, _BLOCK_ENTRIES // max(1, table.shape[1]))
-    starts = range(0, max(1, len(table)), step)
-    blocks = [reduce_rows(table[i : i + step]) for i in starts]
+    step = max(1, _BLOCK_ENTRIES // max(1, tables[0].shape[1]))
+    starts = range(0, max(1, len(tables[0])), step)
+    blocks = [reduce_rows(*(t[i : i + step] for t in tables)) for i in starts]
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 

@@ -1107,6 +1107,8 @@ def test_drain_flows_match_flow_table():
         )
         for k, n in ((300, 70), (40, 1), (1, 20000))
     ]
+    # a block that starts and ends in one group and holds others between
+    raw.append(dataclasses.replace(raw[1], group_ids=[2, 1, 3, 2] * 10))
     for config in [program.config for program in programs] + raw:
         extremes = config.occupancy_pass.extremes  # before the table exists
         table = physics.stationary_flows(config).per_channel

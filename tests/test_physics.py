@@ -217,6 +217,21 @@ class TestOccupancyTable:
                 raised = config.occupancies
             warned = copy.occupancies  # numpy's default errstate warns
         assert raised.tobytes() == warned.tobytes()
+        with np.errstate(all="raise"):
+            state = dataclasses.replace(config).occupancy_pass
+        assert state.drain.tobytes() == warned[:, 0].tobytes()
+        assert state.n_tilde.tobytes() == physics.stationary_state(copy)[2].tobytes()
+
+    def test_weighted_sum_overflows_as_the_caller_says(self):
+        # the occupancy pass ignores errors in the occupancies alone: its
+        # n_tilde = sum_j gamma_j n_j / Gamma raises or warns as the flow table's
+        config = DeviceConfig([1e-300], [T_FLOOR, 1.0], [[1.0, 1e10]])
+        for read in (physics.drain_flows, stationary_flows):
+            with np.errstate(over="raise"):
+                with pytest.raises(FloatingPointError, match="overflow encountered in multiply"):
+                    read(dataclasses.replace(config))
+            with pytest.warns(RuntimeWarning, match="overflow encountered in multiply"):
+                read(dataclasses.replace(config))
 
     def test_encoded_device_and_its_copy_give_the_same_flows(self):
         # encode reads the table of a device whose w/T_FLOOR overflows first;
