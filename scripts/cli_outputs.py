@@ -26,7 +26,7 @@ overflowing base frequency, a total_rate that makes the drain couplings
 subnormal, compiled documents with mistyped fields, an unknown kind, a
 multi-mode scalar, a drain_ratio, row_dots, max_occupancy_dev, spread or
 input_occupancies (scaled with the row_dots) that disagrees with the device,
-an occupancy_floor that is not positive,
+an occupancy_floor that is not positive or is subnormal,
 raw configs with a non-finite field, the drain at index 1, flows that overflow
 or crossbar conductances that underflow). The case
 `other-commands` runs `validate`, the `transient` sweep, a `run` whose --output
@@ -177,7 +177,8 @@ def problems() -> dict:
         "vector": [0, 0, 2],
         "settings": {"group_tol": 1e-2},
     }
-    for name, floor in (("negative", -10.0), ("zero", 0.0), ("small-negative", -1e-3)):
+    floors = (("negative", -10.0), ("zero", 0.0), ("small-negative", -1e-3), ("subnormal", 1e-310))
+    for name, floor in floors:
         cases[f"invalid-occupancy-floor-{name}"] = _compiled(
             floored, lambda d, floor=floor: d.update(occupancy_floor=floor)
         )

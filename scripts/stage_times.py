@@ -12,7 +12,9 @@ For each size (16x16, 64x64, 256x256, 1024x256) and kind (`matvec`,
   or frequency factors on each side) they hold, per solve. A solve whose
   window finds the threshold builds two, the window and the certificate; the
   plain bisection, where it runs, adds 80 of one point each;
-- `stationary_flows`: `stationary_flows` of each part's device;
+- `stationary_flows`: `stationary_flows` of each part's device, which builds
+  the occupancy table and then the occupancy pass, read from the table, for
+  n_tilde;
 - `drain_readout`: the drain column the pipelines decode from, for each part:
   `drain_flows`, or on a tree without it (before it was added) the first
   column of `stationary_flows`, which the pipelines read there;
@@ -23,7 +25,7 @@ For each size (16x16, 64x64, 256x256, 1024x256) and kind (`matvec`,
 `stationary_flows`, `drain_readout` and `settling_time` get a fresh copy of
 each device on every call, made outside the timed region, so that the
 occupancy pass a device makes once (and, for `stationary_flows`, the
-occupancy table) is built inside each timed call.
+occupancy table before it) is built inside each timed call.
 
 Each (size, kind) block runs in a child process of its own, ROUNDS times per
 tree. With --against, the two trees alternate block by block, and which of

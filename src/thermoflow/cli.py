@@ -174,7 +174,8 @@ def program_from_dict(doc: dict) -> CompiledProgram:
         for group in groups:
             idx = list(group.mode_indices)
             occ = physics.bose_occupancy(group.base_frequency, device.temperatures[1:])
-            dev = compiler._max_deviation(lambda: table[idx], occ)
+            rows = table[idx]
+            dev = compiler._max_deviation((rows.min(axis=0), rows.max(axis=0)), occ)
             spread = group.spread if len(idx) > 1 else 0.0  # encode's layout
             layout = group.base_frequency * (1.0 + np.linspace(-spread, spread, len(idx)))
             checks.append(("spread", np.sort(device.frequencies[idx]), layout, 0.0))

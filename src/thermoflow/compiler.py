@@ -22,7 +22,6 @@ from thermoflow.physics import (
     DeviceConfig,
     FlowReport,
     _bose,
-    _by_row_blocks,
     bose_occupancy,
     inverse_temperature,
 )
@@ -39,7 +38,7 @@ class EncodeSettings:
     drain_ratio is gamma[kappa][0] / sum_{j>=1} gamma[kappa][j]; it must be
     small for the cold-drain readout to be accurate. total_rate only sets flow
     magnitudes and settling time and cancels in decode. Their product, the
-    drain coupling, must be a normal double.
+    drain coupling, must be a normal double, and so must occupancy_floor.
     """
 
     base_frequency: float = 1.0
@@ -64,6 +63,8 @@ class EncodeSettings:
             raise ConfigError("group_tol must be in (0, 0.1]")
         if self.occupancy_floor <= 0.0:
             raise ConfigError("occupancy_floor must be positive")
+        if self.occupancy_floor < np.finfo(float).tiny:
+            raise ConfigError("occupancy_floor must be >= 2.2250738585072014e-308")
 
 
 @dataclass(frozen=True)
@@ -123,14 +124,15 @@ def _check_matrix(p: np.ndarray) -> np.ndarray:
 
 def _group_deviation(occ, base_occ):
     """Max relative deviation |occ - base_occ| / base_occ along the last axis of
-    occ, the non-drain occupancies at the modes' frequencies. Callers run it
-    under np.errstate(all="ignore") and skip a maximum that is NaN (0/0 at a
-    base occupancy flushed to 0); one whose occupancy overflows or whose base
-    occupancy is 0 deviates by inf."""
+    occ, the non-drain occupancies at the modes' frequencies, skipping a NaN
+    entry: 0/0, where an occupancy and its base occupancy both flushed to 0,
+    deviates by nothing. The maximum is NaN only when every entry is. An entry
+    whose occupancy overflows, or that is positive over a base occupancy of 0,
+    deviates by inf. Callers run it under np.errstate(all="ignore")."""
     dev = np.subtract(occ, base_occ)
     np.abs(dev, out=dev)
     dev /= base_occ
-    return dev.max(axis=-1)
+    return np.fmax.reduce(dev, axis=-1)
 
 
 # Upper end of the spread bisection: frequencies stay within w(1 +- 0.9).
@@ -304,11 +306,7 @@ def _compile_groups(tasks, temps, settings, kind, shared) -> CompiledProgram:
             mode_indices=tuple(rows),
             base_frequency=w_g,
             spread=spread,
-            max_occupancy_dev=_max_deviation(
-                lambda: config.occupancies[rows.start : rows.stop, 1:],
-                input_occ,
-                config.occupancy_pass.extremes[gid],
-            ),
+            max_occupancy_dev=_max_deviation(config.occupancy_pass.extremes[gid], input_occ),
             degenerate=degenerate,
             input_occupancies=input_occ,
         )
@@ -326,21 +324,14 @@ def _compile_groups(tasks, temps, settings, kind, shared) -> CompiledProgram:
     )
 
 
-def _max_deviation(rows, base_occ, extremes=None):
-    """Largest _group_deviation of a group's (m, n) occupancy rows, rows(),
-    skipping a row whose deviation is NaN (0 when every row's is). |x - b| / b
-    is monotone on each side of b under correct rounding, so each column
-    deviates most at its least or greatest occupancy, the rows of extremes
-    (taken from rows() unless given, as encode takes them from the device's
-    occupancy pass); a NaN anywhere in a column shows there too, and only then
-    is every row of rows() checked."""
+def _max_deviation(extremes, base_occ):
+    """Largest _group_deviation of a group's (m, n) occupancy rows, from their
+    column minima and maxima extremes (2, n); 0 when every entry is 0/0.
+    |x - b| / b is monotone on each side of b under correct rounding, and a 0/0
+    entry needs b = 0, where every other entry of its column deviates by inf,
+    so each column deviates most at one of its extremes: the result is exact."""
     with np.errstate(all="ignore"):  # a base occupancy of 0 or inf: 0/0, x/0, inf - inf
-        if extremes is None:
-            occ = rows()
-            extremes = np.stack((occ.min(axis=0), occ.max(axis=0)))
         dev = _group_deviation(extremes, base_occ)
-        if np.isnan(dev).any():
-            dev = _by_row_blocks(lambda o: _group_deviation(o, base_occ), rows())
     return max(0.0, *dev.tolist())
 
 

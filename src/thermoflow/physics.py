@@ -25,8 +25,8 @@ T_FLOOR = 1e-9
 OCCUPANCY_FLUSH = 1e-300
 _X_FLUSH = 690.77552789821368
 
-# Entries of a row block of DeviceConfig.occupancy_pass and _by_row_blocks:
-# 128 KB temporaries, whatever K.
+# Entries of a row block of DeviceConfig.occupancy_pass: 128 KB temporaries,
+# whatever K.
 _BLOCK_ENTRIES = 16384
 
 
@@ -93,9 +93,10 @@ def _read_only(values, dtype=float) -> np.ndarray:
 
 
 class OccupancyPass(NamedTuple):
-    """What the drain readout and encode read of a device's occupancy table:
-    the stationary occupancies n_tilde (K,), the drain column n_0 (K,), and per
-    group id the column minima and maxima (2, n) of the group's n_j, j >= 1."""
+    """What the drain readout, stationary_state and encode read of a device's
+    occupancy table: the stationary occupancies n_tilde (K,), the drain column
+    n_0 (K,), and per group id the column minima and maxima (2, n) of the
+    group's n_j, j >= 1."""
 
     n_tilde: np.ndarray
     drain: np.ndarray
@@ -114,9 +115,10 @@ class DeviceConfig:
     already a read-only array owning its data is held as is, any other copied.
     rates (K,), the total rates Gamma_kappa = couplings.sum(axis=1), is computed
     by that validation and kept read-only. Two views of the Bose occupancies
-    n_j(w_kappa, T_j) are cached on first use: occupancy_pass, which the
-    readout and encode read, and the whole table occupancies, which only the
-    callers that read all of it build.
+    n_j(w_kappa, T_j) are cached on first use: the whole table occupancies,
+    which only the callers that read all of it build, and occupancy_pass, the
+    one place where n_tilde is reduced; it reads the table when that is
+    already built and evaluates the occupancies itself otherwise.
     """
 
     frequencies: np.ndarray
@@ -171,17 +173,19 @@ class DeviceConfig:
     @cached_property
     def occupancy_pass(self) -> OccupancyPass:
         """The read-only OccupancyPass, from one pass over the table's rows in
-        blocks of at most _BLOCK_ENTRIES entries, so that no (K, n+1) array is
-        held. Every entry, and every row's n_tilde, has the table's bits: the
-        occupancies are evaluated ignoring floating-point errors, as in the
-        table, and n_tilde is reduced under the caller's errstate."""
+        blocks of at most _BLOCK_ENTRIES entries: the blocks of the table when
+        it is already built, else blocks evaluated here, so that no (K, n+1)
+        array is held. Either way every entry has the table's bits, as both
+        evaluate the occupancies ignoring floating-point errors; n_tilde is
+        reduced under the caller's errstate."""
         w, t, g, ids = self.frequencies, self.temperatures, self.couplings, self.group_ids
+        table = self.__dict__.get("occupancies")
         n_tilde, drain, extremes = np.empty(w.size), np.empty(w.size), {}
         step = max(1, _BLOCK_ENTRIES // t.size)
         for start in range(0, w.size, step):
             rows = slice(start, start + step)
             with np.errstate(all="ignore"):
-                occ = _bose(w[rows, None] / t)
+                occ = _bose(w[rows, None] / t) if table is None else table[rows].copy()
             drain[rows] = occ[:, 0]
             block_ids = ids[rows]
             mixed = not (block_ids == block_ids[0]).all()  # encode's ids come in runs
@@ -193,7 +197,7 @@ class DeviceConfig:
                 else:  # min and max are exact, and keep a NaN
                     np.minimum(extremes[gid][0], low, out=extremes[gid][0])
                     np.maximum(extremes[gid][1], high, out=extremes[gid][1])
-            occ *= g[rows]
+            occ *= g[rows]  # in place: a fresh block costs no second array
             n_tilde[rows] = occ.sum(axis=1)
         n_tilde /= self.rates
         for array in (n_tilde, drain, *extremes.values()):
@@ -226,19 +230,11 @@ def stationary_state(config: DeviceConfig):
 
     n_tilde[kappa] = sum_j gamma[kappa][j] n_j(w_kappa) / Gamma_kappa is the fixed
     point of every mode's rate equation and the reference of every channel flow.
+    The table is built first, so that the occupancy pass, which gives n_tilde,
+    reads it instead of evaluating the occupancies again.
     """
-    occ, rates = config.occupancies, config.rates
-    n_tilde = _by_row_blocks(lambda g, n: (g * n).sum(axis=1), config.couplings, occ)
-    return occ, rates, n_tilde / rates
-
-
-def _by_row_blocks(reduce_rows, *tables):
-    """reduce_rows(*tables), which reduces each row of the (K, N) tables on its
-    own, computed block by block of rows: the same bits, smaller temporaries."""
-    step = max(1, _BLOCK_ENTRIES // max(1, tables[0].shape[1]))
-    starts = range(0, max(1, len(tables[0])), step)
-    blocks = [reduce_rows(*(t[i : i + step] for t in tables)) for i in starts]
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    occ = config.occupancies
+    return occ, config.rates, config.occupancy_pass.n_tilde
 
 
 def drain_flows(config: DeviceConfig) -> np.ndarray:

@@ -271,6 +271,20 @@ class TestCompile:
             "error: drain_ratio * total_rate must be >= 2.2250738585072014e-308\n"
         )
 
+    @pytest.mark.parametrize("command", ["compile", "run", "circuit", "transient"])
+    @pytest.mark.parametrize("floor", [1e-310, 1e-320, 5e-324])
+    def test_subnormal_occupancy_floor_is_validation_error(
+        self, tmp_path, capsys, command, floor
+    ):
+        # a floored zero entry's temperature overflows at a subnormal floor
+        doc = dict(FLUSHED_BASE_PROBLEM, settings={"occupancy_floor": floor})
+        assert main([command, write_doc(tmp_path, "bad.json", doc)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: occupancy_floor must be >= 2.2250738585072014e-308\n"
+        )
+
     @pytest.mark.parametrize("kind", ["matvec", "signed_matvec"])
     def test_golden_compiled_document(self, tmp_path, kind):
         path = write_doc(tmp_path, "problem.json", golden_compile_problem(kind))
@@ -394,6 +408,8 @@ class TestRun:
             lambda d: d.update(occupancy_floor=-10.0),
             lambda d: d.update(occupancy_floor=0.0),
             lambda d: d.update(occupancy_floor=-1e-3),
+            lambda d: d.update(occupancy_floor=1e-310),
+            lambda d: d.update(occupancy_floor=5e-324),
             lambda d: d["groups"][0].update(spread=0.5),
             lambda d: d["groups"][0].update(spread=-d["groups"][0]["spread"]),
             lambda d: d["groups"].append(dict(d["groups"][0], group_id=2, mode_indices=[])),
@@ -424,6 +440,8 @@ class TestRun:
             "negative-occupancy_floor",
             "zero-occupancy_floor",
             "small-negative-occupancy_floor",
+            "subnormal-occupancy_floor",
+            "least-subnormal-occupancy_floor",
             "spread-off-device",
             "negative-spread",
             "empty-group",
@@ -487,6 +505,30 @@ class TestRun:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_smaller_floor_runs_on_the_input_its_device_implies(self, tmp_path):
+        # a document vouches for its device's inputs, not for the problem it
+        # came from: the device compiled at floor 1e-3 is an honest compile of
+        # max(b, 1e-3) at floor 1e-300 too, so the edited floor runs, and its
+        # values lie within their bounds of P max(b, 1e-3), not of P b
+        problem = {
+            "kind": "matvec",
+            "matrix": [[0.5, 0.5, 1.0], [0.2, 0.8, 0.1]],
+            "vector": [0, 0, 2],
+            "settings": {"occupancy_floor": 1e-3, "drain_ratio": 1e-6, "group_tol": 1e-6},
+        }
+        doc = compile_problem(problem)
+        doc["occupancy_floor"] = 1e-300
+        code, out, _ = run_main(["run", "--no-timing", write_doc(tmp_path, "c.json", doc)])
+        assert code == 0
+        report = strict_json(out)
+        implied = dict(problem, vector=[max(x, 1e-3) for x in problem["vector"]])
+        pairs = zip(report["decoded"], report["error_bounds"], strict=True)
+        for (value, bound), exact, implied_exact in zip(
+            pairs, exact_product(problem), exact_product(implied), strict=True
+        ):
+            assert abs(Fraction(value) - implied_exact) <= Fraction(bound)
+            assert abs(Fraction(value) - exact) > 100 * Fraction(bound)
 
     @pytest.mark.parametrize("scale", [1.0 + 1e-14, 1.0 - 1e-14])
     def test_derived_fields_within_tolerance_run(self, tmp_path, scale):
@@ -941,9 +983,17 @@ class TestCircuit:
         assert captured.out
         assert captured.err.count("\n") == 1
         if problem is FLUSHED_BASE_PROBLEM:
-            # the lower mode's occupancy leaves the flushed range at this
-            # spread: the NaN deviations below it are skipped, the inf above not
-            assert json.loads(captured.out)["groups"][0]["spread"] == 0.016393442622951
+            # the 0/0 entries of the flushed column are skipped, not the rows
+            # that hold them: the other column keeps the spread within
+            # group_tol, and every decoded value within its bound
+            assert json.loads(captured.out)["groups"][0]["spread"] == 0.0007208069302523933
+            code, out, _ = run_main(["run", "--oracle", "--no-timing", path])
+            assert code == 0
+            report = strict_json(out)
+            for value, bound, exact in zip(
+                report["decoded"], report["error_bounds"], exact_product(problem), strict=True
+            ):
+                assert abs(Fraction(value) - exact) <= Fraction(bound)
 
 
 class TestOccupancyTable:
@@ -983,12 +1033,24 @@ class TestOccupancyTable:
         path = write_doc(tmp_path, "doc.json", compile_problem(doc) if compiled else doc)
         tables = counted_builds(monkeypatch, "occupancies")
         passes = counted_builds(monkeypatch, "occupancy_pass")
+        evaluated, bose = [], physics._bose
+
+        def counted_bose(x):  # a device's occupancies, in one table or in blocks
+            evaluated.append(x.size if np.ndim(x) == 2 else 0)
+            return bose(x)
+
+        monkeypatch.setattr(physics, "_bose", counted_bose)
         assert main([*argv, path, "--output", str(tmp_path / "out")]) == 0
         # run: flows and settling time; transient: evolve and two settling times
         assert len(tables) == len({id(config) for config in tables}) == devices
-        # the settling time reads the pass; a compiled circuit needs no pass
+        # every command reads n_tilde, which the pass alone reduces
         assert len(passes) == len({id(config) for config in passes})
-        assert len(passes) == (0 if argv == ["circuit"] and compiled else devices)
+        assert {id(config) for config in passes} == {id(config) for config in tables}
+        # a compiled document's device is evaluated once, for program_from_dict's
+        # table, which the pass then reads; encode evaluates its device for the
+        # pass, and the table evaluates it again
+        entries = sum(config.n_modes * config.n_reservoirs for config in tables)
+        assert sum(evaluated) == (1 if compiled else 2) * entries
 
 
 def run_main(argv):
@@ -1004,7 +1066,9 @@ def edge_problems(draw):
     """Small matvec and signed problems with zero vector entries, at base
     frequencies near the ends of the float range or near 1; in about one example
     in four each, total_rate or drain_ratio is drawn down to 1e-323, where the
-    drain couplings drain_ratio * total_rate turn subnormal."""
+    drain couplings drain_ratio * total_rate turn subnormal, and
+    occupancy_floor from 1e-323 to 1e-290, where a zero entry's occupancy
+    flushes to 0 or the floor turns subnormal."""
     kind = draw(st.sampled_from(["matvec", "signed_matvec"]))
     m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     entry = st.floats(-4.0 if kind == "signed_matvec" else 0.0, 4.0, allow_subnormal=False)
@@ -1014,7 +1078,8 @@ def edge_problems(draw):
     )
     vector = st.lists(st.just(0.0) | st.floats(0.0, 10.0), min_size=n, max_size=n)
     settings = {"base_frequency": base_frequency}
-    for name, top in (("total_rate", -290.0), ("drain_ratio", -2.0)):
+    tops = {"total_rate": -290.0, "drain_ratio": -2.0, "occupancy_floor": -290.0}
+    for name, top in tops.items():
         if draw(st.integers(0, 3)) == 0:  # else the default
             settings[name] = 10.0 ** draw(st.floats(-323.0, top))
     return {

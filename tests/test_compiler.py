@@ -379,6 +379,21 @@ def test_subnormal_drain_coupling_rejected(signed):
         run(a, [1.0, 2.0], drain_ratio=2.0**-7, total_rate=2.0**-1016)
 
 
+@pytest.mark.parametrize("signed", [False, True], ids=["matvec", "signed"])
+def test_subnormal_occupancy_floor_rejected(signed):
+    # a floored zero entry at a subnormal floor overflows its temperature
+    a, run = ([[0.5, -0.5]], signed_matvec) if signed else ([[0.5, 0.5]], run_matvec)
+    tiny = np.finfo(float).tiny
+    result = run(a, [0.0, 2.0], occupancy_floor=tiny)
+    assert np.all(np.abs(result.values - np.array(a) @ [0.0, 2.0]) <= result.error_bound)
+    for floor in (np.nextafter(tiny, 0.0), 1e-320, 5e-324):
+        with pytest.raises(ConfigError, match=r"^occupancy_floor must be >= 2\.22"):
+            run(a, [0.0, 2.0], occupancy_floor=floor)
+    for floor in (0.0, -5e-324):
+        with pytest.raises(ConfigError, match="^occupancy_floor must be positive$"):
+            run(a, [0.0, 2.0], occupancy_floor=floor)
+
+
 def test_non_finite_parallel_setting_rejected():
     a = [[0.5, 0.5]]
     with pytest.raises(ConfigError, match="^base_frequency must be finite$"):

@@ -109,14 +109,20 @@ def ref_flows(config):
     return config.frequencies[:, None] * config.couplings * (occ - n_tilde[:, None])
 
 
+def ref_entry_deviation(occ, base_occ):
+    """The largest |occ - base_occ| / base_occ over every entry, skipping a
+    0/0 one (an occupancy and its base both flushed to 0); 0 when all are."""
+    with np.errstate(all="ignore"):
+        dev = np.abs(occ - base_occ) / base_occ
+    return float(dev[~np.isnan(dev)].max(initial=0.0))
+
+
 def ref_max_occupancy_dev(program, group):
     """The group deviation from a table of the group's own modes."""
     freqs = program.config.frequencies[list(group.mode_indices)]
     temps = program.config.temperatures
     base_occ = ref_bose(group.base_frequency / temps[1:])
-    with np.errstate(all="ignore"):
-        occ = ref_bose(freqs[:, None] / temps[None, 1:])
-        return max(0.0, *(np.abs(occ - base_occ) / base_occ).max(axis=1).tolist())
+    return ref_entry_deviation(ref_bose(freqs[:, None] / temps[None, 1:]), base_occ)
 
 
 def ref_settling_time(config, initial_occupancies, rel_tol):
@@ -728,8 +734,8 @@ def derived_gaps(docs):
             both = occ != 0.0  # a flushed occupancy flushes on every host
             assert (occ[~both] == recorded[~both]).all()
             gap = np.abs(occ - recorded)[both] / np.minimum(occ, recorded)[both]
-            idx = list(group.mode_indices)
-            dev = compiler._max_deviation(lambda: occupancies[idx], occ)
+            rows = occupancies[list(group.mode_indices)]
+            dev = compiler._max_deviation((rows.min(axis=0), rows.max(axis=0)), occ)
             occ_gap = max(occ_gap, *gap.tolist())
             dev_gap = max(dev_gap, abs(dev - group.max_occupancy_dev))
     return occ_gap, dev_gap
@@ -838,13 +844,11 @@ def test_row_dots_match_row_loop_on_other_kernels(setting):
 
 
 def ref_table_deviation(program, group):
-    """The group deviation from every row of the device's table: the largest
-    row maximum of |occ - base| / base, skipping a NaN one."""
+    """The group deviation from every entry of the group's rows of the
+    device's table."""
     rows = slice(group.mode_indices[0], group.mode_indices[-1] + 1)
     occ = program.config.occupancies[rows, 1:]
-    base = group.input_occupancies
-    with np.errstate(all="ignore"):
-        return max(0.0, *(np.abs(occ - base) / base).max(axis=1).tolist())
+    return ref_entry_deviation(occ, group.input_occupancies)
 
 
 def deviation_cases(seed, count):
@@ -873,22 +877,25 @@ def deviation_cases(seed, count):
         yield tasks, b, {"group_tol": tol, "occupancy_floor": floor}
 
 
-def counted_fallbacks(monkeypatch):
-    """A list that gains the group's row count each time encode checks a
-    group's rows one by one, as it does when a column extreme's deviation is NaN."""
-    calls, by_rows = [], compiler._by_row_blocks
-    monkeypatch.setattr(
-        compiler,
-        "_by_row_blocks",
-        lambda reduce_rows, occ: calls.append(len(occ)) or by_rows(reduce_rows, occ),
-    )
+def counted_flushed_columns(monkeypatch):
+    """A list that gains, each time a group's deviation is taken, the number of
+    its columns whose base occupancy and least occupancy both flushed to 0:
+    each holds a 0/0 entry, which the deviation skips."""
+    calls, max_deviation = [], compiler._max_deviation
+
+    def counted(extremes, base_occ):
+        calls.append(int(((extremes[0] == 0.0) & (base_occ == 0.0)).sum()))
+        return max_deviation(extremes, base_occ)
+
+    monkeypatch.setattr(compiler, "_max_deviation", counted)
     return calls
 
 
 def test_group_deviation_matches_full_table(monkeypatch):
     """The deviation from each column's least and greatest occupancy equals the
-    maximum over every row of the table, bit for bit, on both of its paths."""
-    fallbacks = counted_fallbacks(monkeypatch)
+    maximum over every entry of the table, bit for bit, also where some of the
+    entries are 0/0."""
+    flushed = counted_flushed_columns(monkeypatch)
     groups = parallel = 0
     for tasks, b, settings in deviation_cases(87, 600):
         program = compiler.encode_parallel_matvec(tasks, b, **settings)
@@ -898,19 +905,23 @@ def test_group_deviation_matches_full_table(monkeypatch):
         groups += len(program.groups)
         parallel += len(program.groups) == 2
     assert parallel == 400
-    assert 0 < len(fallbacks) < groups
-    assert max(fallbacks) > 1
+    assert len(flushed) == groups
+    assert 0 < sum(map(bool, flushed)) < groups
+    assert max(flushed) > 1
 
 
-def test_group_deviation_falls_back_to_rows_at_a_flushed_input(monkeypatch):
-    """An input occupancy flushed to 0 makes a column extreme's deviation 0/0,
-    so every row is checked, and the rows that read 0/0 are skipped."""
-    fallbacks = counted_fallbacks(monkeypatch)
+def test_flushed_group_deviation_builds_no_table(monkeypatch):
+    """An input occupancy flushed to 0 makes its column's entries 0/0 at a
+    degenerate spread: the deviation skips them and reads 0, from the
+    occupancy pass's column extremes, without an occupancy table."""
+    flushed = counted_flushed_columns(monkeypatch)
+    tables = counted_builds(monkeypatch, "occupancies")
     a, b, settings = drain_case("degenerate", False)
     program = compiler.encode_matvec(a, b, **settings)
     [group] = program.groups
-    assert group.input_occupancies[0] == 0.0
-    assert fallbacks == [3]
+    assert group.input_occupancies[0] == 0.0 and group.degenerate
+    assert flushed == [1]
+    assert tables == []
     assert group.max_occupancy_dev == ref_table_deviation(program, group) == 0.0
 
 
@@ -1066,11 +1077,12 @@ def test_pipelines_match_decode_of_flow_table(name, signed):
         assert_same(getattr(result, field), getattr(expected, field))
 
 
-def test_drain_flows_match_flow_table():
+def test_drain_flows_match_flow_table(monkeypatch):
     """drain_flows against the drain column of stationary_flows and of the
     fresh-temporary reference, on devices of several groups and on ones whose
-    row-blocked reductions take many blocks of wide or narrow rows; and each
-    group's column extremes in the occupancy pass against the table's."""
+    row-blocked reductions take many blocks of wide or narrow rows; each
+    group's column extremes in the occupancy pass against the table's; and the
+    pass a copy of the device builds from its table against the fresh one."""
     a, b = problem(31, 257, 16)
     a2, _ = problem(32, 7, 16)
     settings = {k: v for k, v in OVERRIDES.items() if k != "base_frequency"}
@@ -1109,16 +1121,29 @@ def test_drain_flows_match_flow_table():
     ]
     # a block that starts and ends in one group and holds others between
     raw.append(dataclasses.replace(raw[1], group_ids=[2, 1, 3, 2] * 10))
+    evaluated, bose = [], physics._bose
+    monkeypatch.setattr(physics, "_bose", lambda x: evaluated.append(x.size) or bose(x))
     for config in [program.config for program in programs] + raw:
-        extremes = config.occupancy_pass.extremes  # before the table exists
+        fresh = config.occupancy_pass  # before the table exists
         table = physics.stationary_flows(config).per_channel
         assert_same(table, ref_flows(config))
         assert_same(physics.drain_flows(config), table[:, 0])
-        assert sorted(extremes) == np.unique(config.group_ids).tolist()
-        for gid, found in extremes.items():
+        assert sorted(fresh.extremes) == np.unique(config.group_ids).tolist()
+        for gid, found in fresh.extremes.items():
             occ = config.occupancies[config.group_ids == gid, 1:]
             expected = np.stack((occ.min(axis=0), occ.max(axis=0)))
             assert np.array_equal(found, expected, equal_nan=True)
+        copy = dataclasses.replace(config)
+        evaluated.clear()
+        physics.stationary_state(copy)  # the table first, then the pass from it
+        assert evaluated == [copy.n_modes * copy.n_reservoirs]
+        assert "occupancy_pass" in copy.__dict__
+        read = copy.occupancy_pass
+        assert read.n_tilde.tobytes() == fresh.n_tilde.tobytes()
+        assert read.drain.tobytes() == fresh.drain.tobytes()
+        assert sorted(read.extremes) == sorted(fresh.extremes)
+        for gid, found in read.extremes.items():
+            assert np.array_equal(found, fresh.extremes[gid], equal_nan=True)
 
 
 @pytest.mark.parametrize(
@@ -1142,19 +1167,6 @@ def test_readout_builds_no_occupancy_table(monkeypatch, pipeline):
     assert tables == []
     assert len(passes) == len({id(config) for config in passes})
     assert len(passes) == (2 if pipeline in ("signed_matvec", "settling_time") else 1)
-
-
-def test_nan_group_deviation_reads_the_table(monkeypatch):
-    """A group whose column extremes give a NaN deviation (an input floored
-    below the occupancy flush) checks its rows one by one, from the table."""
-    fallbacks = counted_fallbacks(monkeypatch)
-    tables = counted_builds(monkeypatch, "occupancies")
-    a, b, settings = drain_case("degenerate", False)
-    program = compiler.encode_matvec(a, b, **settings)
-    assert fallbacks == [3]
-    assert len(tables) == 1 and tables[0] is program.config
-    [group] = program.groups
-    assert group.max_occupancy_dev == ref_table_deviation(program, group)
 
 
 def settling_configs():
