@@ -910,19 +910,30 @@ def test_group_deviation_matches_full_table(monkeypatch):
     assert max(flushed) > 1
 
 
-def test_flushed_group_deviation_builds_no_table(monkeypatch):
+def test_group_deviation_falls_back_to_rows_at_a_flushed_input(monkeypatch):
     """An input occupancy flushed to 0 makes its column's entries 0/0 at a
-    degenerate spread: the deviation skips them and reads 0, from the
-    occupancy pass's column extremes, without an occupancy table."""
+    degenerate spread. The deviation no longer falls back to the rows there: it
+    skips just the 0/0 entries and reads 0, as every entry of the table does."""
     flushed = counted_flushed_columns(monkeypatch)
-    tables = counted_builds(monkeypatch, "occupancies")
     a, b, settings = drain_case("degenerate", False)
     program = compiler.encode_matvec(a, b, **settings)
     [group] = program.groups
     assert group.input_occupancies[0] == 0.0 and group.degenerate
     assert flushed == [1]
-    assert tables == []
     assert group.max_occupancy_dev == ref_table_deviation(program, group) == 0.0
+
+
+def test_nan_group_deviation_reads_the_table(monkeypatch):
+    """A group whose column extremes hold a 0/0 deviation (an input floored
+    below the occupancy flush): encode takes it from the occupancy pass and
+    builds no occupancy table, and the table, built afterwards, reads the same."""
+    tables = counted_builds(monkeypatch, "occupancies")
+    a, b, settings = drain_case("degenerate", False)
+    program = compiler.encode_matvec(a, b, **settings)
+    assert tables == []
+    [group] = program.groups
+    assert group.max_occupancy_dev == ref_table_deviation(program, group)
+    assert len(tables) == 1 and tables[0] is program.config
 
 
 # w/T quotients from 1e-12 to 1e3: tiny, moderate, and past the flush point
