@@ -254,7 +254,7 @@ def _compile_groups(tasks, temps, settings, kind, shared) -> CompiledProgram:
     freq_blocks = []
     group_ids = []
     blocks = []
-    specs = []
+    groups = []
     row_scales = []
     row_dots = []
     for gid, (p, w_g) in enumerate(tasks, start=1):
@@ -283,13 +283,20 @@ def _compile_groups(tasks, temps, settings, kind, shared) -> CompiledProgram:
         p_hat *= settings.total_rate
         block[:, 0] = settings.drain_ratio * p_hat.sum(axis=1)
         start = sum(map(len, freq_blocks))
-        freq_blocks.append(w_g * (1.0 + deltas))
+        freqs = w_g * (1.0 + deltas)
+        # the layout ascends and _bose is monotone, so the occupancies at the
+        # highest and lowest frequency are each column's minima and maxima
+        with np.errstate(all="ignore"):
+            edges = _bose(freqs[[-1, 0], None] / temps[1:])
+        dev = _max_deviation(edges, input_occ)
+        modes = tuple(range(start, start + m))
+        groups.append(GroupSpec(gid, modes, w_g, spread, dev, degenerate, input_occ))
+        freq_blocks.append(freqs)
         group_ids.append(np.full(m, gid))
         blocks.append(block)
         row_scales.append(scales)
-        specs.append((gid, range(start, start + m), w_g, spread, degenerate, input_occ))
 
-    _check_group_separation(specs)
+    _check_group_separation(groups)
 
     arrays = [
         np.concatenate(freq_blocks),
@@ -299,22 +306,9 @@ def _compile_groups(tasks, temps, settings, kind, shared) -> CompiledProgram:
     ]
     for array in arrays:
         array.setflags(write=False)  # so that the device holds it as is
-    config = DeviceConfig(*arrays)
-    groups = tuple(
-        GroupSpec(
-            group_id=gid,
-            mode_indices=tuple(rows),
-            base_frequency=w_g,
-            spread=spread,
-            max_occupancy_dev=_max_deviation(config.occupancy_pass.extremes[gid], input_occ),
-            degenerate=degenerate,
-            input_occupancies=input_occ,
-        )
-        for gid, rows, w_g, spread, degenerate, input_occ in specs
-    )
     return CompiledProgram(
-        config=config,
-        groups=groups,
+        config=DeviceConfig(*arrays),
+        groups=tuple(groups),
         drain_ratio=settings.drain_ratio,
         row_scales=np.concatenate(row_scales),
         occupancy_floor=settings.occupancy_floor,
@@ -335,16 +329,15 @@ def _max_deviation(extremes, base_occ):
     return max(0.0, *dev.tolist())
 
 
-def _check_group_separation(specs):
-    """Groups must sit at well-separated base frequencies: gaps at least 10x the
-    larger intra-group absolute spread, and frequency intervals disjoint. specs
-    holds (group_id, modes, base_frequency, spread, ...) per group."""
-    if len(specs) < 2:
+def _check_group_separation(groups):
+    """GroupSpecs must sit at well-separated base frequencies: gaps at least 10x
+    the larger intra-group absolute spread, and frequency intervals disjoint."""
+    if len(groups) < 2:
         return
     spans = []
-    for gid, _, w, spread, *_ in specs:
-        half = spread * w
-        spans.append((w - half, w + half, gid, w, half))
+    for g in groups:
+        w, half = g.base_frequency, g.spread * g.base_frequency
+        spans.append((w - half, w + half, g.group_id, w, half))
     spans.sort(key=lambda s: s[0])
     for (lo1, hi1, id1, w1, half1), (lo2, hi2, id2, w2, half2) in zip(spans, spans[1:]):
         if lo2 <= hi1:

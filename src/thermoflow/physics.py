@@ -93,14 +93,12 @@ def _read_only(values, dtype=float) -> np.ndarray:
 
 
 class OccupancyPass(NamedTuple):
-    """What the drain readout, stationary_state and encode read of a device's
-    occupancy table: the stationary occupancies n_tilde (K,), the drain column
-    n_0 (K,), and per group id the column minima and maxima (2, n) of the
-    group's n_j, j >= 1."""
+    """What the drain readout and stationary_state read of a device's
+    occupancy table: the stationary occupancies n_tilde (K,) and the drain
+    column n_0 (K,)."""
 
     n_tilde: np.ndarray
     drain: np.ndarray
-    extremes: dict
 
 
 @dataclass(frozen=True)
@@ -178,31 +176,21 @@ class DeviceConfig:
         array is held. Either way every entry has the table's bits, as both
         evaluate the occupancies ignoring floating-point errors; n_tilde is
         reduced under the caller's errstate."""
-        w, t, g, ids = self.frequencies, self.temperatures, self.couplings, self.group_ids
+        w, t, g = self.frequencies, self.temperatures, self.couplings
         table = self.__dict__.get("occupancies")
-        n_tilde, drain, extremes = np.empty(w.size), np.empty(w.size), {}
+        n_tilde, drain = np.empty(w.size), np.empty(w.size)
         step = max(1, _BLOCK_ENTRIES // t.size)
         for start in range(0, w.size, step):
             rows = slice(start, start + step)
             with np.errstate(all="ignore"):
                 occ = _bose(w[rows, None] / t) if table is None else table[rows].copy()
             drain[rows] = occ[:, 0]
-            block_ids = ids[rows]
-            mixed = not (block_ids == block_ids[0]).all()  # encode's ids come in runs
-            for gid in np.unique(block_ids).tolist() if mixed else [int(block_ids[0])]:
-                part = occ[block_ids == gid, 1:] if mixed else occ[:, 1:]
-                low, high = part.min(axis=0), part.max(axis=0)
-                if gid not in extremes:
-                    extremes[gid] = np.array((low, high))
-                else:  # min and max are exact, and keep a NaN
-                    np.minimum(extremes[gid][0], low, out=extremes[gid][0])
-                    np.maximum(extremes[gid][1], high, out=extremes[gid][1])
             occ *= g[rows]  # in place: a fresh block costs no second array
             n_tilde[rows] = occ.sum(axis=1)
         n_tilde /= self.rates
-        for array in (n_tilde, drain, *extremes.values()):
-            array.setflags(write=False)
-        return OccupancyPass(n_tilde, drain, extremes)
+        n_tilde.setflags(write=False)
+        drain.setflags(write=False)
+        return OccupancyPass(n_tilde, drain)
 
     @property
     def n_modes(self):

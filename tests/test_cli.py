@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import counted_builds
@@ -1026,9 +1026,9 @@ class TestOccupancyTable:
     def test_one_build_per_device(
         self, tmp_path, monkeypatch, argv, kind, devices, compiled
     ):
-        # a problem document runs on the devices encode built, whose occupancy
-        # pass encode already used for max_occupancy_dev; the flow table, the
-        # transient and the crossbar build the table
+        # a problem document runs on the devices encode built, which encode
+        # never evaluated; the flow table, the transient and the crossbar build
+        # the table
         doc = golden_compile_problem(kind)
         path = write_doc(tmp_path, "doc.json", compile_problem(doc) if compiled else doc)
         tables = counted_builds(monkeypatch, "occupancies")
@@ -1046,11 +1046,11 @@ class TestOccupancyTable:
         # every command reads n_tilde, which the pass alone reduces
         assert len(passes) == len({id(config) for config in passes})
         assert {id(config) for config in passes} == {id(config) for config in tables}
-        # a compiled document's device is evaluated once, for program_from_dict's
-        # table, which the pass then reads; encode evaluates its device for the
-        # pass, and the table evaluates it again
+        # every device is evaluated once, for its table, which the pass then
+        # reads: program_from_dict's table for a compiled document, the flows',
+        # the transient's or the crossbar's for a problem
         entries = sum(config.n_modes * config.n_reservoirs for config in tables)
-        assert sum(evaluated) == (1 if compiled else 2) * entries
+        assert sum(evaluated) == entries
 
 
 def run_main(argv):
@@ -1068,7 +1068,8 @@ def edge_problems(draw):
     in four each, total_rate or drain_ratio is drawn down to 1e-323, where the
     drain couplings drain_ratio * total_rate turn subnormal, and
     occupancy_floor from 1e-323 to 1e-290, where a zero entry's occupancy
-    flushes to 0 or the floor turns subnormal."""
+    flushes to 0 or the floor turns subnormal, or, as often, from 10**-307.6
+    to 10**-300.5, where the floor is normal and its occupancy flushes to 0."""
     kind = draw(st.sampled_from(["matvec", "signed_matvec"]))
     m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     entry = st.floats(-4.0 if kind == "signed_matvec" else 0.0, 4.0, allow_subnormal=False)
@@ -1078,10 +1079,14 @@ def edge_problems(draw):
     )
     vector = st.lists(st.just(0.0) | st.floats(0.0, 10.0), min_size=n, max_size=n)
     settings = {"base_frequency": base_frequency}
-    tops = {"total_rate": -290.0, "drain_ratio": -2.0, "occupancy_floor": -290.0}
-    for name, top in tops.items():
+    exponents = {
+        "total_rate": st.floats(-323.0, -290.0),
+        "drain_ratio": st.floats(-323.0, -2.0),
+        "occupancy_floor": st.floats(-323.0, -290.0) | st.floats(-307.6, -300.5),
+    }
+    for name, exponent in exponents.items():
         if draw(st.integers(0, 3)) == 0:  # else the default
-            settings[name] = 10.0 ** draw(st.floats(-323.0, top))
+            settings[name] = 10.0 ** draw(exponent)
     return {
         "kind": kind,
         "matrix": draw(st.lists(row, min_size=m, max_size=m)),
@@ -1133,6 +1138,16 @@ class TestCompiledForm:
         problem=edge_problems(),
         form=st.sampled_from(["problem", "compiled", *BOUND_FIELDS]),
         exponent=st.floats(-6.0, 6.0),
+    )
+    @example(  # scripts/cli_outputs.py's flushed-base-occupancy
+        problem={
+            "kind": "matvec",
+            "matrix": [[1, 1], [1, 1]],
+            "vector": [0, 1],
+            "settings": {"occupancy_floor": 1e-305},
+        },
+        form="problem",
+        exponent=0.0,
     )
     def test_no_document_makes_a_report_lie(self, tmp_path_factory, problem, form, exponent):
         """run on a problem, its compiled form, or that form with one bound
