@@ -11,7 +11,8 @@ For each size (16x16, 64x64, 256x256, 1024x256) and kind (`matvec`,
   the (2, points, n) occupancy tables a solve builds, and the points (deltas,
   or frequency factors on each side) they hold, per solve. A solve whose
   window finds the threshold builds two, the window and the certificate; the
-  plain bisection, where it runs, adds 80 of one point each;
+  plain bisection, where it runs, adds 80 of one point each, and one more
+  call for the deviation at its result;
 - `stationary_flows`: `stationary_flows` of each part's device, which builds
   the occupancy table and then the occupancy pass, read from the table, for
   n_tilde;

@@ -147,10 +147,13 @@ _STEPS = np.arange(-_WINDOW, _WINDOW + 1) * np.array([[-1], [1]])
 
 
 def _solve_spread(base_frequency, temperatures, group_tol, base_occ=None):
-    """Largest relative half-width delta such that reservoir occupancies across
-    [w(1-delta), w(1+delta)] stay within group_tol of their base values
-    base_occ, bose_occupancy(w, temperatures[1:]) unless given; 0 (degenerate,
-    exactly equal frequencies) when even a vanishing spread does not.
+    """(delta, degenerate, deviation): the largest relative half-width delta
+    such that reservoir occupancies across [w(1-delta), w(1+delta)] stay within
+    group_tol of their base values base_occ, bose_occupancy(w, temperatures[1:])
+    unless given; 0 (degenerate, exactly equal frequencies) when even a
+    vanishing spread does not. deviation is the largest _group_deviation at
+    the factors 1 -+ delta, or 0 where every entry is 0/0: that of a group laid
+    out from w(1 - delta) to w(1 + delta), whose edge modes deviate most.
 
     The result is that of an 80-step bisection on [0, 0.9]. The deviation grows
     monotonically with delta, so each step just compares its midpoint with the
@@ -158,18 +161,18 @@ def _solve_spread(base_frequency, temperatures, group_tol, base_occ=None):
     and the factors fl(1 -+ delta), through which alone the predicate sees
     delta, at _WINDOW doubles either side of fl(1 -+ _spread_guess). A second
     certifies the final bracket (lo within the tolerance, hi not). When either
-    fails, the plain bisection runs, one call a step.
+    fails, the plain bisection runs, one call a step, and one more call takes
+    the deviation at its result.
     """
     if base_occ is None:
         base_occ = bose_occupancy(base_frequency, temperatures[1:])
 
-    def sides(factors):  # each factor within the tolerance; skips a NaN deviation
+    def deviation(factors):  # per factor; NaN where every entry is 0/0
         occ = _bose((base_frequency * factors)[..., None] / temperatures[1:])
-        return ~(_group_deviation(occ, base_occ) > group_tol)
+        return _group_deviation(occ, base_occ)
 
-    def within(deltas):  # for each delta, on both sides
-        ok = sides(1.0 + np.multiply.outer((-1.0, 1.0), deltas))
-        return ok[0] & ok[1]
+    def edges(deltas):  # per delta, the larger of its two sides' deviations
+        return np.fmax.reduce(deviation(1.0 + np.multiply.outer((-1.0, 1.0), deltas)))
 
     with np.errstate(all="ignore"):
         guess = _spread_guess(base_occ, group_tol)
@@ -177,11 +180,12 @@ def _solve_spread(base_frequency, temperatures, group_tol, base_occ=None):
         if 0.0 < guess < 0.5:
             bits = np.array([[1.0 - guess], [1.0 + guess]]).view(np.int64)
             factors = np.concatenate((_EDGES, (bits + _STEPS).view(float)), axis=1)
-        (low, top, *minus), (high, over, *plus) = sides(factors).tolist()
+        dev = deviation(factors)  # a NaN deviation is within the tolerance
+        (low, top, *minus), (high, over, *plus) = (~(dev > group_tol)).tolist()
         if not (low and high):
-            return 0.0, True
+            return 0.0, True, 0.0
         if top and over:
-            return _MAX_SPREAD, False
+            return _MAX_SPREAD, False, max(0.0, *dev[:, 1].tolist())
         t = math.inf  # a side that never leaves the tolerance leaves t to the other
         for sign, ok, side in zip((-1.0, 1.0), (minus, plus), factors[:, 2:].tolist()):
             count = sum(ok)
@@ -191,9 +195,11 @@ def _solve_spread(base_frequency, temperatures, group_tol, base_occ=None):
                 t = min(t, _last_delta(side[count - 1], sign))
         if t < math.inf:  # and not NaN
             lo, hi = _bisect(t)
-            if within([lo, hi]).tolist() == [True, False]:
-                return lo, False
-        return _bisect(within)[0], False
+            at_lo, at_hi = edges([lo, hi]).tolist()
+            if not at_lo > group_tol and at_hi > group_tol:
+                return lo, False, max(0.0, at_lo)
+        lo = _bisect(lambda delta: not edges(delta) > group_tol)[0]
+        return lo, False, max(0.0, float(edges(lo)))
 
 
 def _last_delta(factor, sign):
@@ -249,7 +255,7 @@ def _temperatures(b, s: EncodeSettings) -> np.ndarray:
 
 def _compile_groups(tasks, temps, settings, kind, shared) -> CompiledProgram:
     """Shared encoder of tasks, (matrix, base_frequency) pairs, at temperatures
-    temps; shared maps w to (input occupancies, (spread, degenerate) or None)."""
+    temps; shared maps w to (input occupancies, _solve_spread's result or None)."""
     n = temps.size - 1
     freq_blocks = []
     group_ids = []
@@ -268,12 +274,9 @@ def _compile_groups(tasks, temps, settings, kind, shared) -> CompiledProgram:
             raise ConfigError("group base frequency must be positive")
         m = p.shape[0]
         input_occ, solved = shared.get(w_g) or (bose_occupancy(w_g, temps[1:]), None)
-        if m == 1:
-            spread, degenerate, deltas = 0.0, False, np.zeros(1)
-        else:
+        if m > 1:
             solved = solved or _solve_spread(w_g, temps, settings.group_tol, input_occ)
-            spread, degenerate = solved
-            deltas = np.linspace(-spread, spread, m)
+        spread, degenerate, dev = solved if m > 1 else (0.0, False, 0.0)
         shared[w_g] = input_occ, solved
         block = np.empty((m, n + 1))
         p_hat = np.divide(p, scales[:, None], out=block[:, 1:])
@@ -283,12 +286,7 @@ def _compile_groups(tasks, temps, settings, kind, shared) -> CompiledProgram:
         p_hat *= settings.total_rate
         block[:, 0] = settings.drain_ratio * p_hat.sum(axis=1)
         start = sum(map(len, freq_blocks))
-        freqs = w_g * (1.0 + deltas)
-        # the layout ascends and _bose is monotone, so the occupancies at the
-        # highest and lowest frequency are each column's minima and maxima
-        with np.errstate(all="ignore"):
-            edges = _bose(freqs[[-1, 0], None] / temps[1:])
-        dev = _max_deviation(edges, input_occ)
+        freqs = w_g * (1.0 + np.linspace(-spread, spread, m))
         modes = tuple(range(start, start + m))
         groups.append(GroupSpec(gid, modes, w_g, spread, dev, degenerate, input_occ))
         freq_blocks.append(freqs)
@@ -458,7 +456,7 @@ def parallel_group_products(program: CompiledProgram, flows: FlowReport):
 
 def _signed_parts(a):
     """(1.0, A_plus), then (-1.0, A_minus), each part built when it is asked for."""
-    yield 1.0, np.where(a > 0.0, a, 0.0)
+    yield 1.0, np.fmax(a, 0.0) + 0.0  # + 0.0: -0.0 to 0.0, the bits of np.where(a > 0.0, a, 0.0)
     minus = np.subtract(0.0, a)  # never -0.0; fmax then zeroes NaN as np.where does
     np.fmax(minus, 0.0, out=minus)
     yield -1.0, minus

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, settings, target
 from hypothesis import strategies as st
 
 from conftest import counted_builds
@@ -1114,6 +1114,15 @@ def exact_product(problem):
     return [sum(Fraction(a) * x for a, x in zip(row, vector)) for row in problem["matrix"]]
 
 
+def over_bound(value, bound, exact):
+    """|value - exact| / bound as a float, capped at 1e300; an error over a
+    bound of 0 counts as the cap."""
+    error = abs(Fraction(value) - exact)
+    if not error:
+        return 0.0
+    return float(min(error / Fraction(bound), 10**300)) if bound else 1e300
+
+
 class TestCompiledForm:
     """A problem document and its compiled form exit alike, with the same
     stdout and stderr, in every command that reads a device; and no document,
@@ -1153,7 +1162,8 @@ class TestCompiledForm:
         """run on a problem, its compiled form, or that form with one bound
         field scaled by 10**exponent: a documented exit code, one line of
         stderr on failure, strict JSON on success, and then every decoded value
-        within its bound of the exact product."""
+        within its bound of the exact product. The search steers towards
+        larger ratios of a report's worst error to its bound."""
         where = tmp_path_factory.mktemp("edits")
         doc = problem
         if form != "problem":
@@ -1171,9 +1181,10 @@ class TestCompiledForm:
             assert out == ""
             return
         report = strict_json(out)
-        for value, bound, exact in zip(
-            report["decoded"], report["error_bounds"], exact_product(problem), strict=True
-        ):
+        products = exact_product(problem)
+        rows = [*zip(report["decoded"], report["error_bounds"], products, strict=True)]
+        target(max(over_bound(*row) for row in rows), label="worst error over bound")
+        for value, bound, exact in rows:
             assert abs(Fraction(value) - exact) <= Fraction(bound)
 
 

@@ -306,6 +306,17 @@ class TestSignedMatvec:
         assert plus.tobytes() == np.where(a > 0.0, a, 0.0).tobytes()
         assert minus.tobytes() == np.where(a < 0.0, -a, 0.0).tobytes()
 
+    @pytest.mark.parametrize("shape", [(3, 5), (512, 256)])
+    def test_plus_part_keeps_where_bits(self, shape):
+        """A_plus is np.where(a > 0.0, a, 0.0) bit for bit, with no -0.0, over
+        signed zeros, subnormals, infinities and ordinary entries, in a small
+        array and in one of 1 MiB, where numpy may reuse a temporary in place."""
+        special = [0.0, -0.0, 5e-324, -5e-324, 2e-308, -2e-308, np.inf, -np.inf, 1.5, -2.5]
+        a = np.random.default_rng(92).choice(special, shape)
+        (_, plus), _ = compiler._signed_parts(a)
+        assert plus.tobytes() == np.where(a > 0.0, a, 0.0).tobytes()
+        assert not np.signbit(plus).any()
+
     def test_negative_zero_splits_like_zero(self):
         a = np.array([[0.5, -0.0, -0.25], [-0.0, 0.75, -0.5], [0.25, 0.0, -0.0]])
         b = np.array([1.0, 0.0, 2.0])

@@ -459,7 +459,7 @@ def counted_spread_solves(monkeypatch):
 def test_spread_solve_matches_plain_bisection(monkeypatch):
     _, plain = counted_spread_solves(monkeypatch)
     for w, temps, tol in spread_cases(80, 500, max_n=1024, min_tol=1e-6):
-        assert compiler._solve_spread(w, temps, tol) == ref_solve_spread(w, temps, tol)
+        assert compiler._solve_spread(w, temps, tol)[:2] == ref_solve_spread(w, temps, tol)
     # the guess window holds every threshold and every final bracket checks out
     assert plain == [False] * 500
 
@@ -472,7 +472,7 @@ def test_wrong_spread_guess_falls_back(monkeypatch, error):
     )
     _, plain = counted_spread_solves(monkeypatch)
     for w, temps, tol in spread_cases(81, 60):
-        assert compiler._solve_spread(w, temps, tol) == ref_solve_spread(w, temps, tol)
+        assert compiler._solve_spread(w, temps, tol)[:2] == ref_solve_spread(w, temps, tol)
     # the window misses every threshold, so only the plain bisection ran
     assert plain == [True] * 60
 
@@ -527,7 +527,7 @@ def test_spread_solve_calls_and_points_at_1024_inputs(monkeypatch):
         b[rng.random(1024) < 0.1] = 0.0
         temps = np.concatenate(([T_FLOOR], inverse_temperature(1.0, np.maximum(b, 1e-12))))
         log.clear()
-        assert compiler._solve_spread(1.0, temps, 1e-3) == ref_solve_spread(1.0, temps, 1e-3)
+        assert compiler._solve_spread(1.0, temps, 1e-3)[:2] == ref_solve_spread(1.0, temps, 1e-3)
         # the window gave the threshold, and the certificate held
         assert log == [2 + 2 * compiler._WINDOW + 1, None, 2]
 
@@ -537,7 +537,7 @@ def test_spread_solve_certifies_a_bracket_it_has_not_evaluated(monkeypatch, brac
     """The certificate call is skipped only for the bracket (t, next double
     after t), whose ends the search evaluated. A wider bracket is certified
     (one call of two deltas); a collapsed one fails it, and the plain
-    bisection runs."""
+    bisection runs, then one call for the deviation at its result."""
     log = recorded_spread_solves(monkeypatch)
     bisect = compiler._bisect
 
@@ -550,10 +550,11 @@ def test_spread_solve_certifies_a_bracket_it_has_not_evaluated(monkeypatch, brac
     monkeypatch.setattr(compiler, "_bisect", other_bracket)
     for w, temps, tol in spread_cases(85, 60):
         log.clear()
-        assert compiler._solve_spread(w, temps, tol) == ref_solve_spread(w, temps, tol)
-        # the search found every case's threshold; the calls after it
+        assert compiler._solve_spread(w, temps, tol)[:2] == ref_solve_spread(w, temps, tol)
+        # the search found every case's threshold; the calls after it, the
+        # plain bisection's ending in one for the deviation at its result
         after = log[log.index(None) + 1 :]
-        assert after == ([2] if bracket == "wider" else [2] + [1] * 80)
+        assert after == ([2] if bracket == "wider" else [2] + [1] * 81)
 
 
 def bits(*values):
@@ -606,7 +607,7 @@ def test_threshold_finds_last_double_within(monkeypatch, k, gap):
     of k doubles a side holds the binding turn when gap // 3 < k: the
     threshold given to _bisect is then the last delta within (the next double
     is not), and the certificate holds. Otherwise every window answer is True
-    and the plain bisection runs."""
+    and the plain bisection runs, with one more call for the deviation."""
     guess, q = 1e-3, gap // 3
     centre = dict(zip((-1.0, 1.0), bits(1.0 - guess, 1.0 + guess)))
     for binding in (-1.0, 1.0):
@@ -620,26 +621,26 @@ def test_threshold_finds_last_double_within(monkeypatch, k, gap):
         result, calls, thresholds, plain = synthetic_spread_solve(
             monkeypatch, lambda f, lo_f=lo_f, hi_f=hi_f: lo_f <= f <= hi_f, guess, k
         )
-        assert result == plain_spread(within)
+        assert result[:2] == plain_spread(within)
         if q < k:
             [t] = thresholds
             assert within(t) and not within(math.nextafter(t, 1.0))
             assert (calls, plain) == (2, [False])
         else:
-            assert (calls, thresholds, plain) == (81, [], [True])
+            assert (calls, thresholds, plain) == (82, [], [True])
 
 
 def test_threshold_gives_up_on_non_monotone_predicate(monkeypatch):
     """Window answers that alternate (a factor within when its last significand
     bit is even) are not True then False: after the one window call, only the
-    plain bisection runs, with no certificate."""
+    plain bisection runs, with no certificate, and one call for the deviation."""
 
     def alternating(f):
         return abs(f - 1.0) < 1e-6 or (abs(f - 1.0) < 0.5 and bits(f)[0] % 2 == 0)
 
     result, calls, thresholds, plain = synthetic_spread_solve(monkeypatch, alternating, 1e-3)
-    assert result == plain_spread(lambda d: alternating(1.0 - d) and alternating(1.0 + d))
-    assert (calls, thresholds, plain) == (81, [], [True])
+    assert result[:2] == plain_spread(lambda d: alternating(1.0 - d) and alternating(1.0 + d))
+    assert (calls, thresholds, plain) == (82, [], [True])
 
 
 @pytest.mark.parametrize("sign", [-1.0, 1.0])
@@ -701,7 +702,7 @@ def test_spread_solve_matches_plain_bisection_at_baseline_dispatch():
     code = (
         "from test_parity import compiler, ref_solve_spread, spread_cases\n"
         "cases = list(spread_cases(84, 100))\n"
-        "print(sum(compiler._solve_spread(*c) != ref_solve_spread(*c) for c in cases))\n"
+        "print(sum(compiler._solve_spread(*c)[:2] != ref_solve_spread(*c) for c in cases))\n"
     )
     assert at_baseline_dispatch(code) == "0\n"
 
@@ -874,23 +875,26 @@ def deviation_cases(seed, count):
 
 
 def counted_flushed_columns(monkeypatch):
-    """A list that gains, each time a group's deviation is taken, the number of
-    its columns whose base occupancy and least occupancy both flushed to 0:
-    each holds a 0/0 entry, which the deviation skips."""
-    calls, max_deviation = [], compiler._max_deviation
+    """A list that gains, each time a spread solve takes a group's deviation,
+    the number of its columns whose base occupancy and least occupancy, at the
+    solved spread's highest frequency, both flushed to 0: each holds a 0/0
+    entry, which the deviation skips."""
+    calls, solve = [], compiler._solve_spread
 
-    def counted(extremes, base_occ):
-        calls.append(int(((extremes[0] == 0.0) & (base_occ == 0.0)).sum()))
-        return max_deviation(extremes, base_occ)
+    def counted(w, temps, group_tol, base_occ):
+        solved = solve(w, temps, group_tol, base_occ)
+        least = bose_occupancy(w * (1.0 + solved[0]), temps[1:])
+        calls.append(int(((least == 0.0) & (base_occ == 0.0)).sum()))
+        return solved
 
-    monkeypatch.setattr(compiler, "_max_deviation", counted)
+    monkeypatch.setattr(compiler, "_solve_spread", counted)
     return calls
 
 
 def test_group_deviation_matches_full_table(monkeypatch):
-    """The deviation from each column's least and greatest occupancy equals the
-    maximum over every entry of the table, bit for bit, also where some of the
-    entries are 0/0."""
+    """The deviation that the spread solve certified at the spread's edges
+    equals the maximum over every entry of the table, bit for bit, also where
+    some of the entries are 0/0; a one-row group's is 0 with no evaluation."""
     flushed = counted_flushed_columns(monkeypatch)
     groups = parallel = 0
     for tasks, b, settings in deviation_cases(87, 600):
@@ -898,7 +902,7 @@ def test_group_deviation_matches_full_table(monkeypatch):
         for group in program.groups:
             expected = ref_table_deviation(program, group)
             assert group.max_occupancy_dev.hex() == expected.hex()
-        groups += len(program.groups)
+            groups += len(group.mode_indices) > 1  # the groups that take a solve
         parallel += len(program.groups) == 2
     assert parallel == 400
     assert len(flushed) == groups
@@ -926,6 +930,59 @@ def test_group_deviation_matches_full_table_at_baseline_dispatch():
     too, which round differently."""
     code = "from test_parity import deviation_mismatches\nprint(deviation_mismatches(88, 1000))\n"
     assert at_baseline_dispatch(code) == "0\n"
+
+
+def layout_deviation(w, spread, temps):
+    """ref_entry_deviation of the five modes w(1 + linspace(-spread, spread, 5))
+    from the input occupancies at w."""
+    freqs = w * (1.0 + np.linspace(-spread, spread, 5))
+    return ref_entry_deviation(ref_bose(freqs[:, None] / temps[1:]), bose_occupancy(w, temps[1:]))
+
+
+def test_solve_spread_returns_the_layout_deviation(monkeypatch):
+    """The deviation _solve_spread returns is that of every entry of a layout
+    across its spread but 0/0 ones, bit for bit, on each of its four exits:
+    the certified bracket (spread_cases and deviation_cases' multi-row groups),
+    the degenerate spread (deviation_cases' inputs floored at 1e-300), the
+    full 0.9 (temperatures at which every occupancy flushes to 0, so every
+    entry is 0/0) and, with a guess a millionth off, the plain bisection."""
+    _, plain = counted_spread_solves(monkeypatch)
+    cases = list(spread_cases(89, 200, max_n=1024, min_tol=1e-6))
+    for tasks, b, settings in deviation_cases(90, 200):
+        s = EncodeSettings(base_frequency=tasks[0][1], **settings)
+        temps = compiler._temperatures(b, s)
+        cases += [(w, temps, s.group_tol) for p, w in tasks if len(p) > 1]
+    flushed = [
+        (w, np.append(T_FLOOR, np.full(t.size - 1, w / 1e4)), tol) for w, t, tol in cases[:20]
+    ]
+    guess, exits = compiler._spread_guess, {}
+    for off, batch in ((0.0, cases + flushed), (1e-6, cases[:60])):
+        monkeypatch.setattr(compiler, "_spread_guess", lambda occ, tol: guess(occ, tol) * (1 + off))
+        for w, temps, tol in batch:
+            plain.clear()
+            spread, degenerate, dev = compiler._solve_spread(w, temps, tol)
+            assert type(dev) is float
+            assert dev.hex() == layout_deviation(w, spread, temps).hex()
+            way = "plain" if plain and plain[-1] else "certified" if plain else "full"
+            way = "degenerate" if degenerate else way
+            exits[way] = exits.get(way, 0) + 1
+    assert exits.keys() == {"certified", "degenerate", "full", "plain"}
+    assert exits["full"] == 20 and exits["plain"] == 60
+
+
+def test_encode_evaluates_occupancies_only_in_the_spread_solve(monkeypatch):
+    """encode_matvec evaluates no occupancy of its own: a multi-row problem's
+    only _bose calls are the spread solve's two, and a one-row problem makes
+    none; nor does it take a deviation from occupancy rows."""
+    calls, _ = counted_spread_solves(monkeypatch)
+    monkeypatch.setattr(compiler, "_max_deviation", None)
+    a, b = problem(91, 16, 16)
+    for rows, expected in ((a, 2), (a[:1], 0)):
+        calls[0] = 0
+        program = compiler.encode_matvec(rows, b)
+        assert calls[0] == expected
+        [group] = program.groups
+        assert group.max_occupancy_dev == ref_table_deviation(program, group)
 
 
 def test_group_deviation_falls_back_to_rows_at_a_flushed_input(monkeypatch):
