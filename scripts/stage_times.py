@@ -32,7 +32,11 @@ Each (size, kind) block runs in a child process of its own, ROUNDS times per
 tree. With --against, the two trees alternate block by block, and which of
 them goes first alternates too, so that load drift on the machine falls on
 both alike. In each child every stage runs once to warm up and then REPEATS
-times; median_s and iqr_s are taken over all rounds' calls.
+times; median_s and iqr_s are taken over all rounds' calls. Each call is
+timed in CPU time of the child (`time.process_time`), so time the child spends
+descheduled on a loaded machine does not count; a process's CPU time sums all
+its threads, and the timed calls keep BLAS on one (at 1024x256 their CPU time
+read 0.999 of their wall time on a two-core x86-64 machine).
 `minflt_per_call` is the mean count of minor page faults the child took inside
 a timed call (`getrusage(RUSAGE_SELF).ru_minflt` around it). The output is a
 JSON list of records `{stage, size, kind, median_s, iqr_s, minflt_per_call,
@@ -83,16 +87,16 @@ def _minflt() -> int:
 
 
 def _times(fn, args=tuple):
-    """Seconds of REPEATS calls fn(*args()) after one warm-up, and their mean
-    count of minor page faults; args runs untimed."""
+    """CPU seconds of REPEATS calls fn(*args()) after one warm-up, and their
+    mean count of minor page faults; args runs untimed."""
     fn(*args())
     out, faults = np.empty(REPEATS), 0
     for i in range(REPEATS):
         call_args = args()
         before = _minflt()
-        start = time.perf_counter()
+        start = time.process_time()
         fn(*call_args)
-        out[i] = time.perf_counter() - start
+        out[i] = time.process_time() - start
         faults += _minflt() - before
     return out, faults / REPEATS
 

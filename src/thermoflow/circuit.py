@@ -19,6 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
+from thermoflow.compiler import EncodeSettings
 from thermoflow.physics import (
     ConfigError,
     DeviceConfig,
@@ -112,7 +113,7 @@ def oqs_to_star(config: DeviceConfig, mode_index: int) -> StarCircuit:
     )
 
 
-def _resolve_bar_potentials(phi, active, policy, group_tol):
+def _resolve_bar_potentials(phi, active, policy):
     """Phi_j per policy. Columns with no active branch get Phi_j = 0."""
     n1 = phi.shape[1]
     col_max = np.where(active, phi, -np.inf).max(axis=0)
@@ -132,10 +133,11 @@ def _resolve_bar_potentials(phi, active, policy, group_tol):
             )
         return value
     if policy == "grouped":
-        # Valid only when every column's active potentials agree within group_tol:
-        # then Phi_j is that shared value and every series resistor is 0. The
-        # deviation is taken from the column midpoint, so modes compiled against
-        # a group tolerance pass the same tolerance here.
+        # Valid only when every column's active potentials agree within the
+        # compiler's default group_tol: then Phi_j is that shared value and every
+        # series resistor is 0. The deviation is taken from the column midpoint,
+        # so modes compiled against that tolerance pass it here.
+        group_tol = EncodeSettings.group_tol
         col_min = np.where(active, phi, np.inf).min(axis=0)
         scale = np.maximum(np.where(active, np.abs(phi), 0.0).max(axis=0), 1e-300)
         bad = has_branch & (0.5 * (col_max - col_min) > group_tol * scale)
@@ -148,17 +150,15 @@ def _resolve_bar_potentials(phi, active, policy, group_tol):
     raise ConfigError(f"unknown bar potential policy: {policy!r}")
 
 
-def build_crossbar(
-    config: DeviceConfig, policy="max", group_tol: float = 1e-3
-) -> CrossbarCircuit:
+def build_crossbar(config: DeviceConfig, policy="max") -> CrossbarCircuit:
     """Construct the crossbar with series resistors r = (Phi_j - phi)/I per branch.
 
     policy: "max" (Phi_j = max_kappa phi[kappa][j], default), ("fixed", value(s))
     with value >= that max, or "grouped" (all r = 0; only valid when the modes
-    share occupancies within group_tol). Zero-current branches get r = 0 and are
-    marked passthrough when phi == Phi_j, otherwise open. Negative resistors
-    (current flowing out of a reservoir below its bar potential) are kept as
-    computed but flagged.
+    share occupancies within EncodeSettings.group_tol). Zero-current branches
+    get r = 0 and are marked passthrough when phi == Phi_j, otherwise open.
+    Negative resistors (current flowing out of a reservoir below its bar
+    potential) are kept as computed but flagged.
     """
     flows = stationary_flows(config)
     w = config.frequencies
@@ -167,7 +167,7 @@ def build_crossbar(
     active = g > 0.0
     currents = np.where(active, flows.per_channel / w[:, None], 0.0)
 
-    bar = _resolve_bar_potentials(phi, active, policy, group_tol)
+    bar = _resolve_bar_potentials(phi, active, policy)
 
     r = np.zeros(g.shape)
     if policy == "grouped":
@@ -198,7 +198,8 @@ def crossbar_currents(crossbar: CrossbarCircuit) -> np.ndarray:
     Reproduces the mapped currents (hence J/w) under the max and fixed policies.
     The grouped policy writes no series resistors, so each branch sees the
     shared bar potential instead of its own node potential, which differs by up
-    to group_tol relative: its re-solved currents match only to that order.
+    to EncodeSettings.group_tol relative: its re-solved currents match only to
+    that order.
 
     Degenerate case: with a uniform Phi across reservoir bars, the derived
     series resistors make the net branch conductance sum to exactly zero, so
@@ -235,11 +236,11 @@ def crossbar_currents(crossbar: CrossbarCircuit) -> np.ndarray:
 # x_<kappa>_<j>. Values are shortest round-trip float reprs, so export is
 # byte-deterministic. The header comment carries the first 16 hex digits of the
 # SHA-256 of the newline-joined reprs of the element tuples
-# (kind, name, node+, node-, value), in netlist order. The writers below format
-# each value once and build that tuple text and the netlist line from the same
-# repr; a star's names are quoted with repr, so any label gives the tuple text.
-# They give the lines in blocks, which export_netlist hashes and joins one at
-# a time, so no whole digest text is ever held.
+# (kind, name, node+, node-, value), in netlist order. A star is written as
+# those tuples through format_netlist. The crossbar writer formats each value
+# once and builds the tuple text and the netlist line from the same repr, in
+# blocks that export_netlist hashes and joins one at a time, so no whole digest
+# text is ever held.
 
 _BLOCK = 4096  # crossbar branches per block of lines
 
@@ -247,23 +248,6 @@ _BLOCK = 4096  # crossbar branches per block of lines
 def _check_finite(*values):
     if not all(np.isfinite(v).all() for v in values):
         raise FloatingPointError("NaN or Infinity in a netlist value")
-
-
-def _star_lines(circuit: StarCircuit):
-    """(digest lines, netlist lines) of a star, as one block: its R elements,
-    then its V."""
-    _check_finite(circuit.resistances, circuit.potentials)
-    labels = circuit.labels or range(circuit.resistances.size)
-    digest, lines = [], []
-    for j, value in zip(labels, map(repr, circuit.resistances.tolist())):
-        name, pos = f"R{j}", f"n_res{j}"
-        digest.append(f"('R', {name!r}, {pos!r}, 'n_center', {value})")
-        lines.append(f"{name} {pos} n_center {value}")
-    for j, value in zip(labels, map(repr, circuit.potentials.tolist())):
-        name, pos = f"V{j}", f"n_res{j}"
-        digest.append(f"('V', {name!r}, {pos!r}, '0', {value})")
-        lines.append(f"{name} {pos} 0 DC {value}")
-    return [(digest, lines)]
 
 
 def _crossbar_lines(circuit: CrossbarCircuit):
@@ -343,14 +327,18 @@ def export_netlist(circuit) -> str:
     """Deterministic netlist text for a star or crossbar circuit; a NaN or
     infinite element value, or crossbar conductance, raises FloatingPointError
     before anything is formatted."""
-    if isinstance(circuit, StarCircuit):
-        blocks = _star_lines(circuit)
-    elif isinstance(circuit, CrossbarCircuit):
-        blocks = _crossbar_lines(circuit)
-    else:
+    if isinstance(circuit, StarCircuit):  # its R elements, then its V
+        _check_finite(circuit.resistances, circuit.potentials)
+        js = circuit.labels or range(circuit.resistances.size)
+        r, v = circuit.resistances.tolist(), circuit.potentials.tolist()
+        elements = [("R", f"R{j}", f"n_res{j}", "n_center", x) for j, x in zip(js, r)]
+        elements += [("V", f"V{j}", f"n_res{j}", "0", x) for j, x in zip(js, v)]
+        sha = hashlib.sha256("\n".join(map(repr, elements)).encode())
+        return format_netlist(sha.hexdigest()[:16], elements)
+    if not isinstance(circuit, CrossbarCircuit):
         raise ConfigError(f"cannot export {type(circuit).__name__} as a netlist")
     sha, chunks = hashlib.sha256(), []
-    for digest, lines in blocks:
+    for digest, lines in _crossbar_lines(circuit):
         if chunks:
             sha.update(b"\n")
         sha.update("\n".join(digest).encode())

@@ -128,7 +128,7 @@ def program_from_dict(doc: dict) -> CompiledProgram:
                 base_frequency=float(g["base_frequency"]),
                 spread=float(g["spread"]),
                 max_occupancy_dev=float(g["max_occupancy_dev"]),
-                degenerate=bool(g["degenerate"]),
+                degenerate=g["degenerate"],
                 input_occupancies=np.array(g["input_occupancies"], dtype=float),
             )
             for g in doc["groups"]
@@ -161,6 +161,11 @@ def program_from_dict(doc: dict) -> CompiledProgram:
         raise InputError(f"groups must hold each of the {k} modes exactly once")
     if not all(g.mode_indices for g in groups):
         raise InputError("every group must hold at least one mode")
+    ids = program.config.group_ids
+    if any((ids[list(g.mode_indices)] != g.group_id).any() for g in groups):
+        raise InputError("each mode's group_id must be the id of the group that holds it")
+    if not all(type(g.degenerate) is bool for g in groups):
+        raise InputError("degenerate must be true or false")
     if program.row_scales.shape != (k,) or program.row_dots.shape != (k,):
         raise InputError(f"row_scales and row_dots need one entry per mode ({k})")
     if any(g.input_occupancies.shape != (n,) for g in groups):
@@ -174,8 +179,11 @@ def program_from_dict(doc: dict) -> CompiledProgram:
         for group in groups:
             idx = list(group.mode_indices)
             occ = physics.bose_occupancy(group.base_frequency, device.temperatures[1:])
+            # |x - b| / b is monotone on each side of b, so each column deviates
+            # most at one of its extremes; 0 when every entry is 0/0
             rows = table[idx]
-            dev = compiler._max_deviation((rows.min(axis=0), rows.max(axis=0)), occ)
+            dev = compiler._group_deviation((rows.min(axis=0), rows.max(axis=0)), occ)
+            dev = max(0.0, *dev.tolist())
             spread = group.spread if len(idx) > 1 else 0.0  # encode's layout
             layout = group.base_frequency * (1.0 + np.linspace(-spread, spread, len(idx)))
             checks.append(("spread", np.sort(device.frequencies[idx]), layout, 0.0))

@@ -316,17 +316,6 @@ def _compile_groups(tasks, temps, settings, kind, shared) -> CompiledProgram:
     )
 
 
-def _max_deviation(extremes, base_occ):
-    """Largest _group_deviation of a group's (m, n) occupancy rows, from their
-    column minima and maxima extremes (2, n); 0 when every entry is 0/0.
-    |x - b| / b is monotone on each side of b under correct rounding, and a 0/0
-    entry needs b = 0, where every other entry of its column deviates by inf,
-    so each column deviates most at one of its extremes: the result is exact."""
-    with np.errstate(all="ignore"):  # a base occupancy of 0 or inf: 0/0, x/0, inf - inf
-        dev = _group_deviation(extremes, base_occ)
-    return max(0.0, *dev.tolist())
-
-
 def _check_group_separation(groups):
     """GroupSpecs must sit at well-separated base frequencies: gaps at least 10x
     the larger intra-group absolute spread, and frequency intervals disjoint."""

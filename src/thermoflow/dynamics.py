@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from thermoflow.physics import ConfigError, DeviceConfig, stationary_state
+from thermoflow.physics import ConfigError, DeviceConfig
 
 SPEED_OF_LIGHT = 299792458.0  # m/s; qfactor_estimate is the only SI boundary
 
@@ -57,7 +57,8 @@ def evolve(
     if sample_count < 2:
         raise ConfigError("sample_count must be at least 2")
 
-    occ_table, rates, n_tilde = stationary_state(config)
+    occ_table = config.occupancies  # first, so that the occupancy pass reads it
+    rates, n_tilde = config.rates, config.occupancy_pass.n_tilde
     times = np.linspace(0.0, t_end, sample_count)
     decay = np.exp(-np.outer(times, rates))
     occupancies = n_tilde[None, :] + (init - n_tilde)[None, :] * decay

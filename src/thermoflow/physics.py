@@ -93,9 +93,9 @@ def _read_only(values, dtype=float) -> np.ndarray:
 
 
 class OccupancyPass(NamedTuple):
-    """What the drain readout and stationary_state read of a device's
-    occupancy table: the stationary occupancies n_tilde (K,) and the drain
-    column n_0 (K,)."""
+    """What the drain readout and the transient read of a device's occupancy
+    table: the stationary occupancies n_tilde (K,) and the drain column n_0
+    (K,)."""
 
     n_tilde: np.ndarray
     drain: np.ndarray
@@ -213,18 +213,6 @@ class FlowReport:
     occupancies: np.ndarray
 
 
-def stationary_state(config: DeviceConfig):
-    """Occupancy table, total rate Gamma_kappa and stationary occupancy n_tilde.
-
-    n_tilde[kappa] = sum_j gamma[kappa][j] n_j(w_kappa) / Gamma_kappa is the fixed
-    point of every mode's rate equation and the reference of every channel flow.
-    The table is built first, so that the occupancy pass, which gives n_tilde,
-    reads it instead of evaluating the occupancies again.
-    """
-    occ = config.occupancies
-    return occ, config.rates, config.occupancy_pass.n_tilde
-
-
 def drain_flows(config: DeviceConfig) -> np.ndarray:
     """J[:, 0] = w gamma[:, 0] (n_0 - n_tilde), bit for bit stationary_flows',
     from the device's occupancy pass alone: no occupancy table is built."""
@@ -238,9 +226,9 @@ def stationary_flows(config: DeviceConfig) -> FlowReport:
     Per-reservoir totals sum the channels; sum_j J_j vanishes identically (the
     stationary occupancy n_tilde is the coupling-weighted mean of the n_j).
     """
-    occ, _, n_tilde = stationary_state(config)
-    g = config.couplings
-    per_channel = config.frequencies[:, None] * g * (occ - n_tilde[:, None])
+    occ = config.occupancies  # first, so that the occupancy pass reads it
+    n_tilde = config.occupancy_pass.n_tilde[:, None]
+    per_channel = config.frequencies[:, None] * config.couplings * (occ - n_tilde)
     return _flow_report(config, per_channel, occ)
 
 
@@ -249,8 +237,7 @@ def stationary_flows_pairwise(config: DeviceConfig) -> FlowReport:
     J[kappa][j] = w sum_q gamma_j gamma_q / (sum_m gamma_m) (n_j - n_q);
     agrees with stationary_flows to ~1e-12 relative per channel."""
     occ = config.occupancies
-    g = config.couplings
-    totals = g.sum(axis=1)
+    g, totals = config.couplings, config.rates
     k, n1 = g.shape
     per_channel = np.zeros((k, n1))
     for kappa in range(k):

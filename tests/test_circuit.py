@@ -167,6 +167,10 @@ class TestBuildCrossbar:
         with pytest.raises(SolvabilityError):
             build_crossbar(config, policy=("fixed", 0.0))
 
+    def test_unknown_policy_refused(self):
+        with pytest.raises(ConfigError, match="^unknown bar potential policy: 'banana'$"):
+            build_crossbar(golden_config(), policy="banana")
+
     def test_branch_status_labels(self):
         config = occupancy_config(1.0, [1.0, 2.0], [[0.1, 0.0, 1.0]])
         crossbar = build_crossbar(config)
@@ -221,6 +225,10 @@ class TestNetlist:
         assert export_netlist(build_crossbar(config)) == export_netlist(
             build_crossbar(config)
         )
+
+    def test_unknown_circuit_refused(self):
+        with pytest.raises(ConfigError, match="^cannot export object as a netlist$"):
+            export_netlist(object())
 
     def test_non_finite_value_refused(self):
         star = StarCircuit(np.array([1.0, 1.0]), np.array([0.0, np.nan]))

@@ -324,6 +324,17 @@ class TestRun:
         report = json.loads(out.read_text())
         np.testing.assert_allclose(report["decoded"], [1.5, 1.8], rtol=5e-3)
 
+    def test_oracle_of_compiled_document_is_null(self, matvec_problem, tmp_path):
+        # a compiled document holds no problem to take the direct product of
+        compiled = tmp_path / "compiled.json"
+        assert main(["compile", matvec_problem, "--output", str(compiled)]) == 0
+        out = tmp_path / "report.json"
+        assert main(["run", str(compiled), "--oracle", "--output", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["oracle"] is None
+        assert "oracle_max_abs_error" not in report
+        assert len(report["decoded"]) == 2
+
     def test_signed_run(self, tmp_path):
         path = write_doc(
             tmp_path,
@@ -413,6 +424,8 @@ class TestRun:
             lambda d: d["groups"][0].update(spread=0.5),
             lambda d: d["groups"][0].update(spread=-d["groups"][0]["spread"]),
             lambda d: d["groups"].append(dict(d["groups"][0], group_id=2, mode_indices=[])),
+            lambda d: d["groups"][0].update(degenerate="false"),
+            lambda d: d["config"]["modes"][0].update(group_id=7),
         ],
         ids=[
             "index-out-of-range",
@@ -445,6 +458,8 @@ class TestRun:
             "spread-off-device",
             "negative-spread",
             "empty-group",
+            "string-degenerate",
+            "mode-group_id-off-group",
         ],
     )
     def test_bad_compiled_program_is_validation_error(self, tmp_path, capsys, edit):

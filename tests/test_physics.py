@@ -125,7 +125,7 @@ class TestConfigValidation:
             assert config.rates.tobytes() == expected.tobytes()
             with pytest.raises(ValueError):
                 config.rates[0] = 0.0
-            assert physics.stationary_state(config)[1] is config.rates
+            assert vars(config)["rates"] is config.rates  # held, not summed per read
 
     def test_negative_couplings_rejected(self):
         with pytest.raises(ConfigError):
@@ -220,7 +220,7 @@ class TestOccupancyTable:
         with np.errstate(all="raise"):
             state = dataclasses.replace(config).occupancy_pass
         assert state.drain.tobytes() == warned[:, 0].tobytes()
-        assert state.n_tilde.tobytes() == physics.stationary_state(copy)[2].tobytes()
+        assert state.n_tilde.tobytes() == copy.occupancy_pass.n_tilde.tobytes()
 
     def test_weighted_sum_overflows_as_the_caller_says(self):
         # the occupancy pass ignores errors in the occupancies alone: its
@@ -244,14 +244,13 @@ class TestOccupancyTable:
 
 
 def normalized_couplings(config):
-    """Mode 0's couplings normalized by the total rate stationary_state gives."""
-    _, rates, _ = physics.stationary_state(config)
-    return config.couplings[0] / rates[0]
+    """Mode 0's couplings normalized by the device's total rate."""
+    return config.couplings[0] / config.rates[0]
 
 
 def stationary_occupancy(config):
-    """Mode 0's stationary occupancy n_tilde from stationary_state."""
-    return physics.stationary_state(config)[2][0]
+    """Mode 0's stationary occupancy n_tilde from the occupancy pass."""
+    return config.occupancy_pass.n_tilde[0]
 
 
 class TestCouplingWeights:
@@ -290,7 +289,7 @@ class TestWeightedOccupancy:
     def test_bounds(self, rng):
         for _ in range(50):
             config = random_config(rng, max_modes=4, max_reservoirs=8)
-            occ, _, stationary = physics.stationary_state(config)
+            occ, stationary = config.occupancies, config.occupancy_pass.n_tilde
             assert np.all(occ.min(axis=1) - 1e-15 <= stationary)
             assert np.all(stationary <= occ.max(axis=1) + 1e-15)
 
@@ -298,7 +297,8 @@ class TestWeightedOccupancy:
 class TestStationaryFlows:
     def test_stationary_state_is_weighted_occupancy(self, rng):
         config = random_config(rng, max_modes=4, max_reservoirs=8)
-        occ, rates, n_tilde = physics.stationary_state(config)
+        occ, rates = config.occupancies, config.rates
+        n_tilde = config.occupancy_pass.n_tilde
         np.testing.assert_array_equal(
             occ, bose_occupancy(config.frequencies[:, None], config.temperatures)
         )
